@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import decoupled, gengk, hybrid, io as dio, oracle, priorcov, problems, uq
+from . import decoupled, hybrid, io as dio, oracle, priorcov, problems, uq
 from .errors import (BudgetExceededError, ConditioningError, DegenerateInputError,
                      ParameterError, ShapeError)
 from .linop import (DenseOperator, KroneckerOperator, LinearOperator,
@@ -306,24 +306,13 @@ def _write_decoupled_logs(outdir, dres):
 
     with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_index", "lambda_i", "iter", "lambda",
-                         "data_misfit", "solution_Qnorm", "gcv_value",
-                         "rel_error", "wall_time_s", "op_time_s"])
+        writer.writerow(["time_index", "lambda_i"] + hybrid.CONVERGENCE_COLUMNS)
         for i, res in enumerate(dres.sub_results):
             if res is None:
                 continue
-            for j in range(res.iterations):
-                writer.writerow([
-                    i, repr(float(dres.per_time_lambda[i])), j + 1,
-                    repr(float(res.lambda_history[j])),
-                    repr(float(res.residual_history[j][0])),
-                    repr(float(res.residual_history[j][1])),
-                    repr(float(res.gcv_history[j]))
-                    if res.gcv_history[j] is not None else "",
-                    "",
-                    repr(float(res.wall_times[j])) if j < len(res.wall_times) else "",
-                    repr(float(res.op_times[j])) if j < len(res.op_times) else "",
-                ])
+            lam_i = repr(float(dres.per_time_lambda[i]))
+            writer.writerows([i, lam_i] + row
+                             for row in res.convergence_rows(truth_present=False))
 
 
 def cmd_variance(cfg: RunConfig) -> int:
@@ -344,7 +333,8 @@ def cmd_variance(cfg: RunConfig) -> int:
     rank = cfg.get("uq", "rank", 20, int)
 
     b = inst.d - inst.A.apply(prior.mean)
-    var, k_total = _restarted_variance(inst, prior, b, lam, rank)
+    var, k_total = uq.restarted_variance_diag(inst.A, inst.R, prior.Q, b, lam,
+                                              rank)
     dio.write_matrix_bin(os.path.join(outdir, "variance.bin"),
                          var.reshape(inst.n_s, inst.n_t, order="F"))
     summary = {"lambda": lam, "k": k_total,
@@ -359,46 +349,6 @@ def cmd_variance(cfg: RunConfig) -> int:
     cfg.write_manifest(outdir, {"run": {"command": "variance"}})
     print(f"variance field written (k={k_total}, lambda={lam:.6g}) to {outdir}")
     return EXIT_OK
-
-
-def _restarted_variance(inst, prior, b, lam, rank):
-    """Low-rank posterior variance, restarting the bidiagonalization when the
-    Krylov space exhausts before the requested rank is reached.
-
-    A benign breakdown leaves an invariant subspace behind; restarting with a
-    random vector orthogonalized (in the weighted inner product) against the
-    used starting directions explores a complementary one, so the per-run
-    downdates combine additively.
-    """
-    Q = prior.Q
-    out = Q.diagonal() / lam ** 2
-    if rank <= 0:
-        return out, 0
-    rng = np.random.default_rng(0)
-    RinvU = []
-    k_total = 0
-    b_cur = np.asarray(b, dtype=float).ravel()
-    restarts = 0
-    while k_total < rank and restarts <= rank:
-        try:
-            fact = gengk.gengk(inst.A, inst.R, Q, b_cur, rank - k_total,
-                               reorthogonalize=True)
-        except DegenerateInputError:
-            fact = None
-        if fact is not None and fact.V:
-            approx = uq.build_posterior_approx(fact, Q, lam)
-            if approx.rank:
-                out = out - (approx.Z ** 2) @ approx.deltas
-            k_total += len(fact.V)
-            RinvU.extend(fact.RinvU)
-        if fact is not None and fact.breakdown is None:
-            break
-        # weighted-orthogonal random restart direction
-        restarts += 1
-        b_cur = rng.standard_normal(inst.A.rows)
-        for ru in RinvU:  # u_i = R ru_i with u_i' R^{-1} u_j = delta_ij
-            b_cur = b_cur - np.dot(ru, b_cur) * inst.R.apply(ru)
-    return out, k_total
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

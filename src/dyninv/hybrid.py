@@ -115,28 +115,6 @@ class ProjectedProblem:
         return num / denom ** 2
 
 
-def solve_projected_tikhonov(B, beta1: float, lam: float) -> np.ndarray:
-    """Solve min ||B_k z - beta1 e1||^2 + lam^2 ||z||^2 via the SVD of B_k."""
-    if lam < 0:
-        raise ParameterError("lambda must be nonnegative")
-    B = B.to_dense() if isinstance(B, gk.Bidiagonal) else np.asarray(B, dtype=float)
-    return ProjectedProblem(B, beta1).solve(lam)
-
-
-def gcv_projected(B, beta1: float, lam: float) -> float:
-    """GCV objective of the projected problem at a given lambda."""
-    B = B.to_dense() if isinstance(B, gk.Bidiagonal) else np.asarray(B, dtype=float)
-    return ProjectedProblem(B, beta1).gcv(lam)
-
-
-def wgcv_projected(B, beta1: float, lam: float, w: float) -> float:
-    """Weighted GCV: the trace term is scaled by w in (0, 1]; w=1 is plain GCV."""
-    if not (0 < w <= 1):
-        raise ParameterError("WGCV weight must lie in (0, 1]")
-    B = B.to_dense() if isinstance(B, gk.Bidiagonal) else np.asarray(B, dtype=float)
-    return ProjectedProblem(B, beta1).gcv(lam, w)
-
-
 # ----------------------------------------------------------------------
 # Lambda selection
 # ----------------------------------------------------------------------
@@ -177,28 +155,23 @@ def minimize_over_lambda(f, s_max: float, grid_points: int = LAMBDA_GRID_POINTS)
     return lam if f(lam) <= vals[i] else grid[i]
 
 
-def select_lambda(strategy, B, beta1: float, context: dict | None = None) -> float:
+def select_lambda(strategy, proj: ProjectedProblem, QV=None, mu=None) -> float:
     """Pick the iteration's regularization parameter under a strategy.
 
-    ``context`` supplies what Optimal needs: ``mu`` and ``QV`` (the matrix
-    Q V_k) so candidate reconstructions mu + QV z(lam) can be formed cheaply.
+    Optimal needs ``QV`` (the matrix Q V_k) so candidate reconstructions
+    mu + QV z(lam) can be formed cheaply; ``mu`` defaults to zero.
     """
     if isinstance(strategy, Fixed):
         return strategy.lam
-    B = B.to_dense() if isinstance(B, gk.Bidiagonal) else np.asarray(B, dtype=float)
-    proj = ProjectedProblem(B, beta1)
     s_max = proj.s[0] if proj.s.size else 0.0
     if isinstance(strategy, GCV):
         return minimize_over_lambda(proj.gcv, s_max)
     if isinstance(strategy, WGCV):
         return minimize_over_lambda(lambda l: proj.gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
-        context = context or {}
-        QV = context.get("QV")
-        mu = context.get("mu")
         s_true = np.asarray(strategy.s_true, dtype=float).ravel()
         if QV is None:
-            raise ParameterError("Optimal strategy requires QV in the context")
+            raise ParameterError("Optimal strategy requires QV")
         if mu is None:
             mu = np.zeros(QV.shape[0])
 
@@ -227,6 +200,10 @@ class SolverOptions:
     error_mask: np.ndarray | None = None
 
 
+CONVERGENCE_COLUMNS = ["iter", "lambda", "data_misfit", "solution_Qnorm",
+                       "gcv_value", "rel_error", "wall_time_s", "op_time_s"]
+
+
 @dataclass
 class SolverResult:
     s: np.ndarray
@@ -243,27 +220,31 @@ class SolverResult:
     wall_times: list = field(default_factory=list)
     op_times: list = field(default_factory=list)
 
-    def write_convergence_csv(self, path, truth_present: bool | None = None) -> None:
+    def convergence_rows(self, truth_present: bool | None = None):
+        """Yield one row of ``CONVERGENCE_COLUMNS`` per iteration, floats in
+        full precision and missing values blank."""
         if truth_present is None:
             truth_present = bool(self.rel_error_history)
+        for i in range(self.iterations):
+            rel = (repr(float(self.rel_error_history[i]))
+                   if truth_present and i < len(self.rel_error_history) else "")
+            yield [
+                i + 1,
+                repr(float(self.lambda_history[i])),
+                repr(float(self.residual_history[i][0])),
+                repr(float(self.residual_history[i][1])),
+                repr(float(self.gcv_history[i]))
+                if self.gcv_history[i] is not None else "",
+                rel,
+                repr(float(self.wall_times[i])) if i < len(self.wall_times) else "",
+                repr(float(self.op_times[i])) if i < len(self.op_times) else "",
+            ]
+
+    def write_convergence_csv(self, path, truth_present: bool | None = None) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "lambda", "data_misfit", "solution_Qnorm",
-                             "gcv_value", "rel_error", "wall_time_s", "op_time_s"])
-            for i in range(self.iterations):
-                rel = (repr(float(self.rel_error_history[i]))
-                       if truth_present and i < len(self.rel_error_history) else "")
-                writer.writerow([
-                    i + 1,
-                    repr(float(self.lambda_history[i])),
-                    repr(float(self.residual_history[i][0])),
-                    repr(float(self.residual_history[i][1])),
-                    repr(float(self.gcv_history[i]))
-                    if self.gcv_history[i] is not None else "",
-                    rel,
-                    repr(float(self.wall_times[i])) if i < len(self.wall_times) else "",
-                    repr(float(self.op_times[i])) if i < len(self.op_times) else "",
-                ])
+            writer.writerow(CONVERGENCE_COLUMNS)
+            writer.writerows(self.convergence_rows(truth_present))
 
 
 def relative_error(s, s_true, mask=None) -> float:
@@ -290,7 +271,9 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     b = d - A.apply(mu)
 
     t0 = time.perf_counter()
-    fact = gk.gengk_init(A, R, Q, b, reorthogonalize=opts.reorthogonalize)
+    # the loop below always takes at least one step
+    fact = gk.gengk_init(A, R, Q, b, max(opts.max_iter, 1),
+                         reorthogonalize=opts.reorthogonalize)
     init_time = time.perf_counter() - t0
 
     lambdas, residuals, gcvs, rel_errs = [], [], [], []
@@ -301,27 +284,19 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     lam = strategy.lam if isinstance(strategy, Fixed) else 0.0
     gcv_like = isinstance(strategy, (GCV, WGCV))
 
-    it = 0
     while True:
-        if fact.breakdown is not None and fact.steps == 0 and not fact.V:
+        if fact.breakdown is not None:  # alpha_1 = 0 at initialization
             stop_reason = "breakdown"
             break
         t_it = time.perf_counter()
         t_op = time.perf_counter()
         gk.gengk_step(fact)
-        op_time = time.perf_counter() - t_op + (init_time if it == 0 else 0.0)
-        it = fact.steps
-        k = min(it, len(fact.V))
-        if k == 0:
-            stop_reason = "breakdown"
-            break
+        op_time = time.perf_counter() - t_op + (init_time if fact.k == 1 else 0.0)
+        k = fact.k
 
-        B = fact.bidiagonal(k).to_dense()
-        proj = ProjectedProblem(B, fact.beta1)
-        context = {"mu": mu}
-        if isinstance(strategy, Optimal):
-            context["QV"] = fact.QV_matrix(k)
-        lam = select_lambda(strategy, B, fact.beta1, context)
+        proj = ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+        QV = fact.QV_matrix(k)
+        lam = select_lambda(strategy, proj, QV, mu)
         z = proj.solve(lam)
         gval = proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0)
         misfit = proj.misfit(lam)
@@ -331,8 +306,7 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         residuals.append((misfit, qnorm))
         gcvs.append(gval)
         if s_true is not None:
-            s_it = mu + fact.QV_matrix(k) @ z
-            rel_errs.append(relative_error(s_it, s_true, opts.error_mask))
+            rel_errs.append(relative_error(mu + QV @ z, s_true, opts.error_mask))
         wall_times.append(time.perf_counter() - t_it)
         op_times.append(op_time)
 
@@ -352,18 +326,16 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
             if flat_count >= opts.flat_patience:
                 stop_reason = "gcv-flat"
                 break
-        if it >= opts.max_iter:
+        if k >= opts.max_iter:
             stop_reason = "max-iter"
             break
 
-    k = min(fact.steps, len(fact.V))
-    if k > 0 and z.size == k:
-        x = fact.V_matrix(k) @ z
-        s = mu + fact.QV_matrix(k) @ z
+    if z.size:
+        x = fact.V_matrix() @ z
+        s = mu + fact.QV_matrix() @ z
     else:
         x = np.zeros(A.cols)
         s = mu.copy()
-        z = np.zeros(0)
 
     return SolverResult(
         s=s, x=x, z=z, lam=lam,

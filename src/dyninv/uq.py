@@ -16,13 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ParameterError
-from .gengk import GenGKFactorization
+from .errors import DegenerateInputError, ParameterError
+from .gengk import GenGKFactorization, gengk
 from .linop import LinearOperator
 
 # Ritz values below this (relative to the largest) are dropped: they contribute
 # negligibly and destabilize the lam^2/theta ratios.
 THETA_RTOL = 1e-12
+
+# A restart vector that orthogonalization against the data-space directions
+# used so far shrinks below this fraction of its weighted norm lies in their
+# span up to rounding: the range of A is exhausted.
+RESTART_RTOL = 1e-8
 
 
 @dataclass
@@ -56,7 +61,7 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
-    k = min(fact.steps, len(fact.V))
+    k = fact.k
     if k == 0:
         return PosteriorApprox(lam=lam, Q=Q, Z=np.zeros((Q.cols, 0)),
                                deltas=np.zeros(0), thetas=np.zeros(0))
@@ -85,6 +90,50 @@ def variance_diag(approx: PosteriorApprox, q_diag=None) -> np.ndarray:
     if approx.rank:
         out = out - (approx.Z ** 2) @ approx.deltas
     return out
+
+
+def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
+                            Q: LinearOperator, b, lam: float, rank: int):
+    """Posterior variance from up to ``rank`` reorthogonalized gen-GK steps.
+
+    Returns ``(variance, k)``, where k is the number of steps whose downdates
+    were applied.  When the Krylov space breaks down before ``rank`` steps,
+    the bidiagonalization restarts from A y for a random y, made orthogonal
+    (in the R^{-1} inner product) to every u used so far.  A breakdown leaves
+    an invariant subspace behind, so the restarted run explores a
+    complementary one and the per-run downdates combine additively.  Once a
+    restart vector lies in the span of the used u's up to rounding, the range
+    of A is exhausted and the downdate is complete, so k never exceeds the
+    rank of A.
+    """
+    out = Q.diagonal() / lam ** 2
+    if rank <= 0:
+        return out, 0
+    rng = np.random.default_rng(0)
+    used = np.zeros((A.rows, 0))  # u_i of finished runs: u_i' R^{-1} u_j = delta_ij
+    k_total = 0
+    b_cur = np.asarray(b, dtype=float).ravel()
+    for _ in range(rank + 1):
+        try:
+            fact = gengk(A, R, Q, b_cur, rank - k_total, reorthogonalize=True)
+        except DegenerateInputError:  # b = 0
+            fact = None
+        if fact is not None:
+            approx = build_posterior_approx(fact, Q, lam)
+            if approx.rank:
+                out = out - (approx.Z ** 2) @ approx.deltas
+            k_total += fact.k
+            if fact.breakdown is None or k_total >= rank:
+                break
+            used = np.hstack([used, fact.U_matrix()])
+        # restart direction in the range of A, R^{-1}-orthogonal to the used u's
+        b_cur = A.apply(rng.standard_normal(A.cols))
+        norm0 = np.sqrt(b_cur @ R.solve(b_cur))
+        for _ in range(2):
+            b_cur = b_cur - used @ (used.T @ R.solve(b_cur))
+        if np.sqrt(max(b_cur @ R.solve(b_cur), 0.0)) <= RESTART_RTOL * norm0:
+            break
+    return out, k_total
 
 
 def decoupled_variance_diag(plan, factorizations, lam: float,

@@ -306,9 +306,8 @@ def _best_lambda_error(A, R, Q, d, s_true, k, tile=1):
     """Relative error at the best regularization parameter, from one
     factorization of depth k (the parameter sweep reuses the projected SVD)."""
     fact = gengk.gengk(A, R, Q, d, k=k, reorthogonalize=True)
-    kk = min(fact.steps, len(fact.V))
-    proj = hybrid.ProjectedProblem(fact.bidiagonal(kk).to_dense(), fact.beta1)
-    QV = fact.QV_matrix(kk)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k).to_dense(), fact.beta1)
+    QV = fact.QV_matrix(fact.k)
     best = np.inf
     for lam in np.logspace(-6, 3, 60) * proj.s[0]:
         s = QV @ proj.solve(lam)

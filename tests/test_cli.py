@@ -117,6 +117,26 @@ def test_decoupled_solve_runs(tmp_path, deblur_config):
     assert (out / "convergence.csv").exists()
 
 
+def test_decoupled_convergence_log_has_a_row_per_iteration(tmp_path, deblur_config):
+    out = tmp_path / "dec"
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled", "--solver.strategy=wgcv",
+                     "--solver.per_time_lambda=true",
+                     f"--output.dir={out}"]) == 0
+    summary = configparser.ConfigParser()
+    summary.read(out / "summary.ini")
+    iterations = summary.getint("summary", "iterations")  # sum(per_time_iters)
+    lines = (out / "convergence.csv").read_text().strip().splitlines()
+    assert lines[0].split(",") == ["time_index", "lambda_i", "iter", "lambda",
+                                   "data_misfit", "solution_Qnorm", "gcv_value",
+                                   "rel_error", "wall_time_s", "op_time_s"]
+    assert iterations > 0 and len(lines) == iterations + 1
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 10 and fields[7] == ""  # no truth per subproblem
+        assert all(np.isfinite(float(fields[j])) for j in (1, 3, 4, 5, 6))
+
+
 def test_variance_identity_field(tmp_path):
     cfg = write_config(tmp_path / "c.ini", {
         "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "2",

@@ -15,34 +15,36 @@ def wrap(A, R, Q):
 
 def test_init_identity_operators():
     A = identity(2)
-    fact = gengk.gengk_init(A, identity(2), identity(2), [3.0, 4.0])
+    fact = gengk.gengk_init(A, identity(2), identity(2), [3.0, 4.0], max_steps=0)
     assert fact.beta1 == pytest.approx(5.0)
-    npt.assert_allclose(fact.U[0], [0.6, 0.8])
+    npt.assert_allclose(fact.U_matrix()[:, 0], [0.6, 0.8])
     assert fact.alphas[0] == pytest.approx(1.0)
-    npt.assert_allclose(fact.V[0], [0.6, 0.8])
+    npt.assert_allclose(fact.V_matrix(1)[:, 0], [0.6, 0.8])
 
 
 def test_init_weighted_norm():
     fact = gengk.gengk_init(identity(2), ScaledIdentityOperator(4.0, 2),
-                            identity(2), [2.0, 0.0])
+                            identity(2), [2.0, 0.0], max_steps=0)
     assert fact.beta1 == pytest.approx(1.0)
-    npt.assert_allclose(fact.U[0], [2.0, 0.0])
+    npt.assert_allclose(fact.U_matrix()[:, 0], [2.0, 0.0])
 
 
 def test_init_breakdown_b_orthogonal_to_range():
     A = DenseOperator([[1.0, 0.0], [0.0, 0.0]])
-    fact = gengk.gengk_init(A, identity(2), identity(2), [0.0, 1.0])
+    fact = gengk.gengk_init(A, identity(2), identity(2), [0.0, 1.0], max_steps=0)
     assert fact.breakdown == 0
     assert fact.alphas == [0.0]
 
 
 def test_init_zero_b_rejected():
     with pytest.raises(DegenerateInputError):
-        gengk.gengk_init(identity(2), identity(2), identity(2), [0.0, 0.0])
+        gengk.gengk_init(identity(2), identity(2), identity(2), [0.0, 0.0],
+                         max_steps=0)
 
 
 def test_identity_exhaustion():
-    fact = gengk.gengk_init(identity(2), identity(2), identity(2), [3.0, 4.0])
+    fact = gengk.gengk_init(identity(2), identity(2), identity(2), [3.0, 4.0],
+                            max_steps=1)
     gengk.gengk_step(fact)
     assert fact.breakdown is not None
     assert fact.betas[-1] == 0.0
@@ -114,7 +116,8 @@ def test_scalars_nonnegative(rng):
 
 
 def test_k0_span_check():
-    fact = gengk.gengk_init(identity(3), identity(3), identity(3), [1.0, 0.0, 0.0])
+    fact = gengk.gengk_init(identity(3), identity(3), identity(3), [1.0, 0.0, 0.0],
+                            max_steps=0)
     report = gengk.krylov_basis_span_check(fact)
     assert report["resid_b"] == pytest.approx(0.0, abs=1e-15)
 
@@ -143,4 +146,43 @@ def test_diagnostics_csv(tmp_path, rng):
     gengk.dump_diagnostics_csv(fact, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["iter", "alpha", "beta"]
-    assert len(lines) == fact.steps + 1
+    assert len(lines) == fact.k + 1
+
+
+def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
+    A, R, Q, b = random_problem(rng, 40, 50, cond=1e4)
+    ops = wrap(A, R, Q)
+    fact = gengk.gengk(*ops, b, k=25, reorthogonalize=False)
+    path = tmp_path / "diag.csv"
+    gengk.dump_diagnostics_csv(fact, path)
+    rows = path.read_text().strip().splitlines()[1:]
+    assert len(rows) == fact.k
+    for i, row in enumerate(rows, start=1):
+        orth_u, orth_v, rec = (float(x) for x in row.split(",")[3:])
+        report = gengk.krylov_basis_span_check(gengk.gengk(*ops, b, k=i))
+        npt.assert_allclose(
+            [orth_u, orth_v, rec],
+            [report["orth_U"], report["orth_V"],
+             max(report["resid_AQV"], report["resid_AtRinvU"])],
+            rtol=1e-8, atol=1e-14)
+
+
+def test_basis_accessors_are_views(rng):
+    A, R, Q, b = random_problem(rng, 12, 10)
+    fact = gengk.gengk(*wrap(A, R, Q), b, k=4, reorthogonalize=True)
+    for first, second in [(fact.U_matrix(), fact.U_matrix(2)),
+                          (fact.V_matrix(), fact.V_matrix(2)),
+                          (fact.QV_matrix(), fact.QV_matrix(2))]:
+        assert np.shares_memory(first, second)
+    assert fact.U_matrix().shape == (12, 5)
+    assert fact.V_matrix().shape == fact.QV_matrix().shape == (10, 4)
+
+
+def test_stepping_past_max_steps_raises(rng):
+    A, R, Q, b = random_problem(rng, 12, 10)
+    fact = gengk.gengk_init(*wrap(A, R, Q), b, max_steps=2)
+    gengk.gengk_step(fact)
+    gengk.gengk_step(fact)
+    with pytest.raises(RuntimeError):
+        gengk.gengk_step(fact)
+    assert fact.k == 2

@@ -20,13 +20,13 @@ def wrap(A, R, Q):
 
 def test_projected_tikhonov_scalar():
     B = np.array([[1.0], [0.0]])
-    z = hybrid.solve_projected_tikhonov(B, beta1=5.0, lam=2.0)
+    z = hybrid.ProjectedProblem(B, beta1=5.0).solve(2.0)
     npt.assert_allclose(z, [1.0])  # (1 + 4) z = 5
 
 
 def test_projected_tikhonov_large_lambda():
     B = np.array([[1.0], [0.5]])
-    z = hybrid.solve_projected_tikhonov(B, beta1=1.0, lam=1e8)
+    z = hybrid.ProjectedProblem(B, beta1=1.0).solve(1e8)
     assert np.linalg.norm(z) < 1e-14
 
 
@@ -37,33 +37,32 @@ def test_projected_matches_dense_normal_equations(rng):
     fact = gengk.gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
                        reorthogonalize=True)
     B = fact.bidiagonal().to_dense()
-    z = hybrid.solve_projected_tikhonov(B, fact.beta1, lam)
+    z = hybrid.ProjectedProblem(B, fact.beta1).solve(lam)
     s = fact.QV_matrix() @ z
     expected = np.linalg.solve(A.T @ A + lam ** 2 * np.eye(2), A.T @ b)
     npt.assert_allclose(s, expected, rtol=1e-12)
 
 
-def test_gcv_projected_analytic():
-    B = np.array([[1.0], [0.0]])
+def test_projected_gcv_analytic():
+    proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
     # G = 1 * 25 * (1/2)^2 / (2 - 1/2)^2 = 6.25 / 2.25
-    assert hybrid.gcv_projected(B, 5.0, 1.0) == pytest.approx(6.25 / 2.25, rel=1e-12)
-    assert hybrid.gcv_projected(B, 5.0, 1.0) == pytest.approx(2.7778, abs=1e-4)
+    assert proj.gcv(1.0) == pytest.approx(6.25 / 2.25, rel=1e-12)
+    assert proj.gcv(1.0) == pytest.approx(2.7778, abs=1e-4)
 
 
-def test_gcv_projected_large_lambda_limit():
+def test_projected_gcv_large_lambda_limit():
     B = np.array([[1.0, 0.0], [0.7, 2.0], [0.0, 0.3]])
     k, beta1 = 2, 3.0
-    G = hybrid.gcv_projected(B, beta1, 1e10)
+    G = hybrid.ProjectedProblem(B, beta1).gcv(1e10)
     assert G == pytest.approx(k * beta1 ** 2 / (k + 1) ** 2, rel=1e-6)
 
 
-def test_wgcv_projected():
-    B = np.array([[1.0], [0.0]])
-    assert hybrid.wgcv_projected(B, 5.0, 1.0, w=0.5) == pytest.approx(
-        6.25 / 3.0625, rel=1e-12)
-    assert hybrid.wgcv_projected(B, 5.0, 1.0, w=0.5) == pytest.approx(2.0408, abs=1e-4)
+def test_projected_wgcv():
+    proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
+    assert proj.gcv(1.0, w=0.5) == pytest.approx(6.25 / 3.0625, rel=1e-12)
+    assert proj.gcv(1.0, w=0.5) == pytest.approx(2.0408, abs=1e-4)
     with pytest.raises(ParameterError):
-        hybrid.wgcv_projected(B, 5.0, 1.0, w=1.5)
+        hybrid.WGCV(1.5)
 
 
 def test_wgcv_w1_equals_gcv(rng):
@@ -72,8 +71,9 @@ def test_wgcv_w1_equals_gcv(rng):
         B = rng.standard_normal((k + 1, k))
         beta1 = float(rng.random() + 0.5)
         lam = float(10 ** rng.uniform(-3, 2))
-        assert hybrid.wgcv_projected(B, beta1, lam, w=1.0) == pytest.approx(
-            hybrid.gcv_projected(B, beta1, lam), abs=1e-14, rel=1e-14)
+        proj = hybrid.ProjectedProblem(B, beta1)
+        assert proj.gcv(lam, w=1.0) == pytest.approx(
+            proj.gcv(lam), abs=1e-14, rel=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -81,15 +81,15 @@ def test_wgcv_w1_equals_gcv(rng):
 # ----------------------------------------------------------------------
 
 def test_select_lambda_fixed():
-    B = np.array([[1.0], [0.0]])
-    assert hybrid.select_lambda(hybrid.Fixed(3.0), B, 5.0) == 3.0
+    proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
+    assert hybrid.select_lambda(hybrid.Fixed(3.0), proj) == 3.0
 
 
 def test_select_lambda_gcv_monotone_case():
     # G(lam) = 25 lam^4 / (1 + 2 lam^2)^2 increases in lam: minimizer at the
     # lower end of the search bracket
-    B = np.array([[1.0], [0.0]])
-    lam = hybrid.select_lambda(hybrid.GCV(), B, 5.0)
+    proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
+    lam = hybrid.select_lambda(hybrid.GCV(), proj)
     assert lam <= 1e-11
 
 
@@ -111,13 +111,11 @@ def test_select_lambda_optimal_self_consistent(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
     Aop, Rop, Qop = wrap(A, R, Q)
     fact = gengk.gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
-    k = min(fact.steps, len(fact.V))
-    B = fact.bidiagonal(k).to_dense()
-    proj = hybrid.ProjectedProblem(B, fact.beta1)
-    QV = fact.QV_matrix(k)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k).to_dense(), fact.beta1)
+    QV = fact.QV_matrix(fact.k)
     s_target = QV @ proj.solve(1.0)
-    lam = hybrid.select_lambda(hybrid.Optimal(s_target), B, fact.beta1,
-                               {"QV": QV, "mu": np.zeros(QV.shape[0])})
+    lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj, QV=QV,
+                               mu=np.zeros(QV.shape[0]))
     err = np.linalg.norm(QV @ proj.solve(lam) - s_target)
     assert err <= 1e-6 * np.linalg.norm(s_target)
 
@@ -158,10 +156,10 @@ def test_shift_invariance(rng):
     A, R, Q, b = random_problem(rng, 25, 20)
     Aop, Rop, Qop = wrap(A, R, Q)
     fact = gengk.gengk(Aop, Rop, Qop, b, k=10, reorthogonalize=True)
-    B = fact.bidiagonal().to_dense()
+    proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
     prior = PriorModel.zero_mean(Qop)
     for lam in (0.3, 3.0):
-        z = hybrid.solve_projected_tikhonov(B, fact.beta1, lam)
+        z = proj.solve(lam)
         s_shared = fact.QV_matrix() @ z
         res = hybrid.genhybr_solve(Aop, Rop, prior, b, hybrid.Fixed(lam),
                                    hybrid.SolverOptions(max_iter=10,
@@ -172,7 +170,7 @@ def test_shift_invariance(rng):
 def test_monotone_data_fit(rng):
     A, R, Q, b = random_problem(rng, 30, 25)
     Aop, Rop, Qop = wrap(A, R, Q)
-    fact = gengk.gengk_init(Aop, Rop, Qop, b, reorthogonalize=True)
+    fact = gengk.gengk_init(Aop, Rop, Qop, b, max_steps=12, reorthogonalize=True)
     misfits = []
     for _ in range(12):
         gengk.gengk_step(fact)

@@ -124,3 +124,34 @@ def test_decoupled_variance_missing_factorization():
                                 np.eye(2), identity(2), np.ones(4))
     with pytest.raises(ParameterError):
         uq.decoupled_variance_diag(plan, {0: None, 1: None}, lam=1.0)
+
+
+def _restart_instances(rng):
+    """(A, R, Q, b) with full-rank A, rank-deficient A, and a block-diagonal
+    problem whose b excites one block only, so the first run breaks down
+    after half the dimension and a restart must supply the rest."""
+    A = rng.standard_normal((12, 12))
+    yield A, random_spd(rng, 12), random_spd(rng, 12), rng.standard_normal(12)
+    A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))
+    yield A, random_spd(rng, 6), random_spd(rng, 9), rng.standard_normal(6)
+    blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
+    A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
+               for X, Y in blocks)
+    R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
+    yield A, R, Q, np.concatenate([rng.standard_normal(4), np.zeros(4)])
+
+
+def test_restarted_variance_matches_dense_up_to_twice_the_dimension():
+    rng = np.random.default_rng(7)
+    lam = 0.7
+    for A, R, Q, b in _restart_instances(rng):
+        n = A.shape[1]
+        reachable = np.linalg.matrix_rank(A)
+        exact = np.diag(oracle.dense_posterior(
+            oracle.DenseProblem(A, R, Q, b, lam=lam)))
+        for rank in range(reachable, 2 * n + 1):
+            var, k = uq.restarted_variance_diag(
+                DenseOperator(A), DenseOperator(R), DenseOperator(Q), b, lam, rank)
+            assert k <= n, (A.shape, rank, k)
+            assert np.all(var >= 0), (A.shape, rank, var.min())
+            npt.assert_allclose(var, exact, rtol=1e-10, atol=0)
