@@ -20,7 +20,8 @@ import scipy.linalg as sla
 
 from .errors import ConditioningError, ParameterError, ShapeError
 from . import hybrid
-from .linop import DenseOperator, KroneckerOperator, LinearOperator, ScaledOperator
+from .linop import (DenseOperator, KroneckerOperator, LinearOperator, ScaledOperator,
+                    aslinearoperator)
 from .priorcov import PriorModel
 
 # singular values below this (relative to the largest) are treated as zero
@@ -87,9 +88,7 @@ class DecoupledResult:
 
 def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
     """Assemble the SVD of R_t^{-1/2} A_t L_t^T and the right-hand-side machinery."""
-    A_s = A_s if isinstance(A_s, LinearOperator) else DenseOperator(A_s)
-    Q_s = Q_s if isinstance(Q_s, LinearOperator) else DenseOperator(Q_s)
-    R_s = R_s if isinstance(R_s, LinearOperator) else DenseOperator(R_s)
+    A_s, Q_s, R_s = aslinearoperator(A_s), aslinearoperator(Q_s), aslinearoperator(R_s)
     At = _dense(A_t)
     Rt = _dense(R_t)
     Qt = _dense(Q_t)

@@ -19,7 +19,9 @@ import numpy as np
 from .errors import DegenerateInputError
 from .linop import LinearOperator
 
-# Relative threshold below which a new alpha/beta is declared a breakdown.
+# A new alpha/beta at or below this fraction of the largest alpha/beta so far
+# is declared a breakdown.  Both scale with the operators only, so the test
+# does not depend on the units of b.
 BREAKDOWN_RTOL = 1e-14
 
 
@@ -103,8 +105,7 @@ class GenGKFactorization:
 
     @property
     def breakdown_tol(self) -> float:
-        a1 = self.alphas[0] if self.alphas else 0.0
-        return BREAKDOWN_RTOL * (self.beta1 + a1)
+        return BREAKDOWN_RTOL * max(self.alphas + self.betas)
 
 
 def _weighted_norm_sq(v, Mv, tol: float = 0.0) -> float:
@@ -138,7 +139,8 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     w = A.apply_adjoint(fact._RinvU[:, 0])
     Qw = Q.apply(w)
     alpha1 = np.sqrt(_weighted_norm_sq(w, Qw))
-    if alpha1 <= BREAKDOWN_RTOL * beta1:
+    # no operator scale is known before alpha_1, so only an exact zero breaks down
+    if alpha1 == 0.0:
         fact.alphas.append(0.0)
         fact.breakdown = 0
         return fact

@@ -1,11 +1,9 @@
-"""Array and matrix serialization.
+"""Dense matrix and vector serialization.
 
-Formats:
-
-* dense CSV: plain row-major text, one matrix row per line;
-* dense binary: little-endian, magic ``DYNINV1``, u64 rows, u64 cols,
-  then rows*cols float64 values stored column-major;
-* sparse coordinate CSV: lines of ``row,col,value`` (0-based indices).
+One format, little-endian binary: magic ``DYNINV1``, u64 rows, u64 cols, then
+rows*cols float64 values stored column-major.  A vector is stored as an
+n x 1 matrix.  Sparse forward matrices are saved by
+:func:`dyninv.problems.save_instance` with ``scipy.sparse.save_npz``.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -56,42 +53,3 @@ def read_vector_bin(path) -> np.ndarray:
     if M.shape[1] != 1:
         raise ParameterError(f"{path}: expected a single-column vector file")
     return M[:, 0]
-
-
-def write_matrix_csv(path, M) -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)), delimiter=",",
-               fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-
-
-def write_coo_csv(path, M) -> None:
-    """Write a sparse matrix as ``row,col,value`` triplets."""
-    M = sp.coo_matrix(M)
-    with open(path, "w") as fh:
-        fh.write(f"# shape,{M.shape[0]},{M.shape[1]}\n")
-        for r, c, v in zip(M.row, M.col, M.data):
-            fh.write(f"{r},{c},{float(v)!r}\n")
-
-
-def read_coo_csv(path, shape=None) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.lstrip("# ").split(",")
-                if parts[0] == "shape" and shape is None:
-                    shape = (int(parts[1]), int(parts[2]))
-                continue
-            r, c, v = line.split(",")
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    if shape is None:
-        shape = (max(rows) + 1 if rows else 0, max(cols) + 1 if cols else 0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)

@@ -3,7 +3,12 @@
 Every solver in this package consumes operators only through forward and
 adjoint application plus shape queries.  Concrete operator types cover dense
 matrices, sparse matrices, diagonals, scaled identities, Kronecker products,
-sums of Kronecker products, block diagonals, scalings, and compositions.
+sums of Kronecker products, scalings, and compositions.  A block-diagonal
+forward model is one sparse matrix (``scipy.sparse.block_diag``), or a
+Kronecker product with an identity when its blocks repeat.
+
+The public methods of :class:`LinearOperator` check shapes (and the
+densification budget) once; concrete types implement private hooks only.
 
 Vectorization convention: ``vec`` stacks matrix columns, so for a Kronecker
 product ``Q_t (x) Q_s`` acting on ``x = vec(X)`` with ``X`` of shape
@@ -26,15 +31,28 @@ from .errors import BudgetExceededError, ConditioningError, ParameterError, Shap
 DENSIFY_BUDGET = 4096 * 4096
 
 
-def _check_vec(v, n, what="vector"):
+def _check_vec(v, n):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] != n:
-        raise ShapeError(f"expected {what} of length {n}, got shape {v.shape}")
+        raise ShapeError(f"expected vector of length {n}, got shape {v.shape}")
     return v
 
 
+def _check_mat(M, n):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != n:
+        raise ShapeError(f"expected matrix with {n} rows, got shape {M.shape}")
+    return M
+
+
 class LinearOperator:
-    """Base class: a real linear map known through matvecs."""
+    """Base class: a real linear map known through matvecs.
+
+    The public methods validate their input once and then call a private
+    hook; subclasses override hooks only.  ``_matvec``/``_rmatvec`` are
+    required; the matrix hooks default to one matvec per column, and
+    ``_to_dense`` to applying the operator to the identity.
+    """
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -54,12 +72,39 @@ class LinearOperator:
     def shape(self):
         return (self._rows, self._cols)
 
-    # -- implementation hooks -------------------------------------------
+    # -- implementation hooks (inputs already validated) -----------------
     def _matvec(self, v):
         raise NotImplementedError
 
     def _rmatvec(self, v):
         raise NotImplementedError
+
+    def _matmat(self, M):
+        out = np.empty((self._rows, M.shape[1]))
+        for j in range(M.shape[1]):
+            out[:, j] = self._matvec(M[:, j])
+        return out
+
+    def _rmatmat(self, M):
+        out = np.empty((self._cols, M.shape[1]))
+        for j in range(M.shape[1]):
+            out[:, j] = self._rmatvec(M[:, j])
+        return out
+
+    def _solve(self, v):
+        raise NotImplementedError(f"{type(self).__name__} does not support solve()")
+
+    def _solve_mat(self, M):
+        out = np.empty((self._cols, M.shape[1]))
+        for j in range(M.shape[1]):
+            out[:, j] = self._solve(M[:, j])
+        return out
+
+    def _diagonal(self):
+        return np.diag(self.to_dense()).copy()
+
+    def _to_dense(self, budget: int):
+        return self._matmat(np.eye(self._cols))
 
     # -- public application ---------------------------------------------
     def apply(self, v):
@@ -71,44 +116,27 @@ class LinearOperator:
         return self._rmatvec(_check_vec(v, self._rows))
 
     def apply_mat(self, M):
-        """Apply the operator to each column of ``M``."""
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != self._cols:
-            raise ShapeError(f"expected matrix with {self._cols} rows, got {M.shape}")
-        out = np.empty((self._rows, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self._matvec(M[:, j])
-        return out
+        """Apply the operator to each column of the 2-D array ``M``."""
+        return self._matmat(_check_mat(M, self._cols))
 
     def apply_adjoint_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != self._rows:
-            raise ShapeError(f"expected matrix with {self._rows} rows, got {M.shape}")
-        out = np.empty((self._cols, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self._rmatvec(M[:, j])
-        return out
+        """Apply the adjoint to each column of the 2-D array ``M``."""
+        return self._rmatmat(_check_mat(M, self._rows))
 
-    # -- SPD extras (optional) ------------------------------------------
     def solve(self, v):
         """Return ``op^{-1} @ v`` for SPD operators that support it."""
-        raise NotImplementedError(f"{type(self).__name__} does not support solve()")
+        return self._solve(_check_vec(v, self._cols))
 
     def solve_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        out = np.empty((self._cols, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self.solve(M[:, j])
-        return out
+        """Solve for each column of the 2-D array ``M``."""
+        return self._solve_mat(_check_mat(M, self._cols))
 
     def diagonal(self):
         """Diagonal of the operator (square operators only)."""
         if self._rows != self._cols:
             raise ShapeError("diagonal() requires a square operator")
-        D = self.to_dense()
-        return np.diag(D).copy()
+        return self._diagonal()
 
-    # -- misc ------------------------------------------------------------
     @property
     def T(self) -> "LinearOperator":
         return AdjointOperator(self)
@@ -118,10 +146,10 @@ class LinearOperator:
         limit = DENSIFY_BUDGET if budget is None else budget
         if self._rows * self._cols > limit:
             raise BudgetExceededError(
-                f"refusing to densify {self._rows}x{self._cols} operator "
-                f"(budget {limit} entries)"
+                f"refusing to densify {self._rows}x{self._cols} "
+                f"{type(self).__name__} (budget {limit} entries)"
             )
-        return self.apply_mat(np.eye(self._cols))
+        return self._to_dense(limit)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self._rows}x{self._cols}>"
@@ -162,16 +190,10 @@ class DenseOperator(LinearOperator):
     def _rmatvec(self, v):
         return self.entries.T @ v
 
-    def apply_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        if M.shape[0] != self._cols:
-            raise ShapeError(f"expected matrix with {self._cols} rows, got {M.shape}")
+    def _matmat(self, M):
         return self.entries @ M
 
-    def apply_adjoint_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        if M.shape[0] != self._rows:
-            raise ShapeError(f"expected matrix with {self._rows} rows, got {M.shape}")
+    def _rmatmat(self, M):
         return self.entries.T @ M
 
     def _factor(self):
@@ -188,18 +210,16 @@ class DenseOperator(LinearOperator):
                 ) from exc
         return self._chol
 
-    def solve(self, v):
-        return sla.cho_solve(self._factor(), _check_vec(v, self._cols))
+    def _solve(self, v):
+        return sla.cho_solve(self._factor(), v)
 
-    def solve_mat(self, M):
-        return sla.cho_solve(self._factor(), np.asarray(M, dtype=float))
+    def _solve_mat(self, M):
+        return sla.cho_solve(self._factor(), M)
 
-    def diagonal(self):
-        if self._rows != self._cols:
-            raise ShapeError("diagonal() requires a square operator")
+    def _diagonal(self):
         return np.diag(self.entries).copy()
 
-    def to_dense(self, budget=None):
+    def _to_dense(self, budget):
         return self.entries.copy()
 
 
@@ -217,22 +237,13 @@ class SparseOperator(LinearOperator):
     def _rmatvec(self, v):
         return self.matrix.T @ v
 
-    def apply_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        if M.shape[0] != self._cols:
-            raise ShapeError(f"expected matrix with {self._cols} rows, got {M.shape}")
+    def _matmat(self, M):
         return np.asarray(self.matrix @ M)
 
-    def apply_adjoint_mat(self, M):
-        M = np.asarray(M, dtype=float)
-        if M.shape[0] != self._rows:
-            raise ShapeError(f"expected matrix with {self._rows} rows, got {M.shape}")
+    def _rmatmat(self, M):
         return np.asarray(self.matrix.T @ M)
 
-    def to_dense(self, budget=None):
-        limit = DENSIFY_BUDGET if budget is None else budget
-        if self._rows * self._cols > limit:
-            raise BudgetExceededError("refusing to densify sparse operator")
+    def _to_dense(self, budget):
         return self.matrix.toarray()
 
 
@@ -249,28 +260,23 @@ class DiagonalOperator(LinearOperator):
     def _matvec(self, v):
         return self.diag * v
 
-    def _rmatvec(self, v):
-        return self.diag * v
+    _rmatvec = _matvec
 
-    def apply_mat(self, M):
-        return self.diag[:, None] * np.asarray(M, dtype=float)
+    def _matmat(self, M):
+        return self.diag[:, None] * M
 
-    def solve(self, v):
-        return _check_vec(v, self._cols) / self.diag
+    _rmatmat = _matmat
 
-    def solve_mat(self, M):
-        return np.asarray(M, dtype=float) / self.diag[:, None]
+    def _solve(self, v):
+        return v / self.diag
 
-    def sqrt_apply(self, v):
-        return np.sqrt(self.diag) * v
+    def _solve_mat(self, M):
+        return M / self.diag[:, None]
 
-    def inv_sqrt_apply(self, v):
-        return v / np.sqrt(self.diag)
-
-    def diagonal(self):
+    def _diagonal(self):
         return self.diag.copy()
 
-    def to_dense(self, budget=None):
+    def _to_dense(self, budget):
         return np.diag(self.diag)
 
 
@@ -313,23 +319,19 @@ class KroneckerOperator(LinearOperator):
         Z = self.left.apply_adjoint_mat(Y.T).T
         return Z.reshape(-1, order="F")
 
-    def solve(self, v):
-        v = _check_vec(v, self._cols)
+    def _solve(self, v):
         X = v.reshape(self.right.cols, self.left.cols, order="F")
         Y = self.right.solve_mat(X)
         Z = self.left.solve_mat(Y.T).T
         return Z.reshape(-1, order="F")
 
-    def diagonal(self):
+    def _diagonal(self):
         dl = self.left.diagonal()
         dr = self.right.diagonal()
         return np.outer(dr, dl).reshape(-1, order="F")
 
-    def to_dense(self, budget=None):
-        limit = DENSIFY_BUDGET if budget is None else budget
-        if self._rows * self._cols > limit:
-            raise BudgetExceededError("refusing to densify Kronecker operator")
-        return np.kron(self.left.to_dense(limit), self.right.to_dense(limit))
+    def _to_dense(self, budget):
+        return np.kron(self.left.to_dense(budget), self.right.to_dense(budget))
 
 
 class SumKroneckerOperator(LinearOperator):
@@ -361,74 +363,16 @@ class SumKroneckerOperator(LinearOperator):
             out += c * K._rmatvec(v)
         return out
 
-    def diagonal(self):
+    def _diagonal(self):
         out = np.zeros(self._rows)
         for (c, _, _), K in zip(self.terms, self._kron):
             out += c * K.diagonal()
         return out
 
-    def to_dense(self, budget=None):
-        limit = DENSIFY_BUDGET if budget is None else budget
-        if self._rows * self._cols > limit:
-            raise BudgetExceededError("refusing to densify SumKronecker operator")
+    def _to_dense(self, budget):
         out = np.zeros(self.shape)
         for (c, _, _), K in zip(self.terms, self._kron):
-            out += c * K.to_dense(limit)
-        return out
-
-
-class BlockDiagOperator(LinearOperator):
-    """Block-diagonal operator; blocks may have differing row counts."""
-
-    def __init__(self, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            raise ParameterError("block-diagonal operator requires at least one block")
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        super().__init__(rows, cols)
-        self.blocks = blocks
-        self._row_ofs = np.cumsum([0] + [b.rows for b in blocks])
-        self._col_ofs = np.cumsum([0] + [b.cols for b in blocks])
-
-    def _matvec(self, v):
-        out = np.empty(self._rows)
-        for i, b in enumerate(self.blocks):
-            out[self._row_ofs[i]:self._row_ofs[i + 1]] = b.apply(
-                v[self._col_ofs[i]:self._col_ofs[i + 1]]
-            )
-        return out
-
-    def _rmatvec(self, v):
-        out = np.empty(self._cols)
-        for i, b in enumerate(self.blocks):
-            out[self._col_ofs[i]:self._col_ofs[i + 1]] = b.apply_adjoint(
-                v[self._row_ofs[i]:self._row_ofs[i + 1]]
-            )
-        return out
-
-    def solve(self, v):
-        v = _check_vec(v, self._cols)
-        out = np.empty(self._cols)
-        for i, b in enumerate(self.blocks):
-            out[self._col_ofs[i]:self._col_ofs[i + 1]] = b.solve(
-                v[self._col_ofs[i]:self._col_ofs[i + 1]]
-            )
-        return out
-
-    def diagonal(self):
-        return np.concatenate([b.diagonal() for b in self.blocks])
-
-    def to_dense(self, budget=None):
-        limit = DENSIFY_BUDGET if budget is None else budget
-        if self._rows * self._cols > limit:
-            raise BudgetExceededError("refusing to densify block-diagonal operator")
-        out = np.zeros(self.shape)
-        for i, b in enumerate(self.blocks):
-            out[
-                self._row_ofs[i]:self._row_ofs[i + 1],
-                self._col_ofs[i]:self._col_ofs[i + 1],
-            ] = b.to_dense(limit)
+            out += c * K.to_dense(budget)
         return out
 
 
@@ -446,10 +390,10 @@ class ScaledOperator(LinearOperator):
     def _rmatvec(self, v):
         return self.alpha * self.base._rmatvec(v)
 
-    def apply_mat(self, M):
+    def _matmat(self, M):
         return self.alpha * self.base.apply_mat(M)
 
-    def diagonal(self):
+    def _diagonal(self):
         return self.alpha * self.base.diagonal()
 
 
@@ -477,38 +421,6 @@ class CompositionOperator(LinearOperator):
         for op in self.ops:
             v = op._rmatvec(v)
         return v
-
-
-# ----------------------------------------------------------------------
-# Functional surface
-# ----------------------------------------------------------------------
-
-def apply(op: LinearOperator, v):
-    """Forward application ``op @ v``."""
-    return op.apply(v)
-
-
-def apply_adjoint(op: LinearOperator, v):
-    """Adjoint application ``op.T @ v``."""
-    return op.apply_adjoint(v)
-
-
-def to_dense(op: LinearOperator, budget: int | None = None):
-    """Materialize an operator densely, refusing beyond the entry budget."""
-    return op.to_dense(budget)
-
-
-def kron_matvec_reshaped(Q_t, Q_s, x):
-    """Evaluate ``(Q_t (x) Q_s) @ x`` via ``vec(Q_s X Q_t.T)``.
-
-    Factors may be LinearOperators or plain arrays.
-    """
-    if not isinstance(Q_t, LinearOperator):
-        Q_t = DenseOperator(Q_t)
-    if not isinstance(Q_s, LinearOperator):
-        Q_s = DenseOperator(Q_s)
-    x = _check_vec(x, Q_t.cols * Q_s.cols)
-    return KroneckerOperator(Q_t, Q_s)._matvec(x)
 
 
 def aslinearoperator(x) -> LinearOperator:

@@ -1,9 +1,10 @@
 """Desk-scale dynamic test-problem generators.
 
 Three families: dynamic Gaussian deblurring with a Kronecker forward operator,
-straight-ray dynamic tomography with checkerboard truths and a block-diagonal
-forward model, and a rotating-Gaussians phantom observed through one
-parallel-beam projection per time step.
+straight-ray dynamic tomography with checkerboard truths, and a
+rotating-Gaussians phantom observed through one parallel-beam projection per
+time step.  Both ray-tracing models are block diagonal, one sparse block per
+time step, and are held as one sparse matrix.
 
 Images of shape (nx, ny) are vectorized column-wise with the y index varying
 fastest: pixel (ix, iy) maps to ix * ny + iy.  Instances are reproducible
@@ -18,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError
-from .linop import (BlockDiagOperator, DenseOperator, KroneckerOperator,
-                    LinearOperator, ScaledIdentityOperator, SparseOperator)
+from .linop import (DenseOperator, KroneckerOperator, LinearOperator,
+                    ScaledIdentityOperator, SparseOperator)
 
 
 @dataclass
@@ -228,7 +229,7 @@ def gen_ray_tomography(nx: int, ny: int, n_t: int, rays_per_time,
     mask = coverage >= coverage_threshold
 
     s_true = checkerboard_truth(nx, ny, n_t, base_value, cell, mask)
-    A = BlockDiagOperator([SparseOperator(b) for b in blocks])
+    A = SparseOperator(sp.block_diag(blocks, format="csr"))
     clean = A.apply(s_true)
     d = clean + noise_sigma * rng.standard_normal(clean.size)
     R = ScaledIdentityOperator(noise_sigma ** 2, clean.size)
@@ -314,8 +315,8 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
     if radii_count <= 0:
         radii_count = int(np.ceil(np.hypot(nx, ny)))
 
-    blocks = [projection_matrix(nx, ny, a, radii_count) for a in angles]
-    A = BlockDiagOperator([SparseOperator(b) for b in blocks])
+    A = SparseOperator(sp.block_diag(
+        [projection_matrix(nx, ny, a, radii_count) for a in angles], format="csr"))
     s_true = rotating_gaussians_truth(nx, ny, n_t, width=width,
                                       orbit_radius=orbit_radius,
                                       revolutions=revolutions)
@@ -333,8 +334,7 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
                            grid=(nx, ny), seed=seed, kind="rotating",
                            noise_sigma=sigma_noise,
                            meta={"angles": angles, "radii_count": radii_count,
-                                 "noise_level": noise_level,
-                                 "blocks": blocks})
+                                 "noise_level": noise_level})
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +342,11 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
 # ----------------------------------------------------------------------
 
 def save_instance(inst: ProblemInstance, directory) -> None:
-    """Serialize an instance to a directory: manifest + operator pieces + arrays."""
+    """Serialize an instance to a directory: manifest + operator pieces + arrays.
+
+    Kronecker factors and vectors use the ``DYNINV1`` binary format; a sparse
+    forward matrix is one uncompressed ``A.npz``.
+    """
     import configparser
     import os
 
@@ -370,12 +374,9 @@ def save_instance(inst: ProblemInstance, directory) -> None:
         dio.write_matrix_bin(os.path.join(directory, "A_s_x.bin"), inst.meta["Tx"])
         dio.write_matrix_bin(os.path.join(directory, "A_s_y.bin"), inst.meta["Ty"])
     else:
-        cfg["instance"]["structure"] = "blockdiag"
-        A = inst.A
-        cfg["instance"]["n_blocks"] = str(len(A.blocks))
-        for i, blk in enumerate(A.blocks):
-            dio.write_coo_csv(os.path.join(directory, f"A_block_{i:04d}.csv"),
-                              blk.matrix)
+        cfg["instance"]["structure"] = "sparse"
+        sp.save_npz(os.path.join(directory, "A.npz"), inst.A.matrix,
+                    compressed=False)
     if "mask" in inst.meta:
         dio.write_vector_bin(os.path.join(directory, "mask.bin"),
                              inst.meta["mask"].astype(float))
@@ -384,7 +385,11 @@ def save_instance(inst: ProblemInstance, directory) -> None:
 
 
 def load_instance(directory) -> ProblemInstance:
-    """Reconstruct an instance saved by :func:`save_instance`."""
+    """Reconstruct an instance saved by :func:`save_instance`.
+
+    A manifest with an unknown forward-model structure raises
+    :class:`ParameterError`.
+    """
     import configparser
     import os
 
@@ -404,18 +409,19 @@ def load_instance(directory) -> ProblemInstance:
         s_true = dio.read_vector_bin(os.path.join(directory, "s_true.bin"))
 
     meta = {}
-    if sec["structure"] == "kron":
+    structure = sec.get("structure")
+    if structure == "kron":
         At = dio.read_matrix_bin(os.path.join(directory, "A_t.bin"))
         Tx = dio.read_matrix_bin(os.path.join(directory, "A_s_x.bin"))
         Ty = dio.read_matrix_bin(os.path.join(directory, "A_s_y.bin"))
         A_s = KroneckerOperator(DenseOperator(Tx), DenseOperator(Ty))
         A = KroneckerOperator(DenseOperator(At), A_s)
         meta.update({"A_t": At, "Tx": Tx, "Ty": Ty})
+    elif structure == "sparse":
+        A = SparseOperator(sp.load_npz(os.path.join(directory, "A.npz")))
     else:
-        n_blocks = int(sec["n_blocks"])
-        blocks = [dio.read_coo_csv(os.path.join(directory, f"A_block_{i:04d}.csv"))
-                  for i in range(n_blocks)]
-        A = BlockDiagOperator([SparseOperator(b) for b in blocks])
+        raise ParameterError(f"{manifest}: unknown forward-model structure "
+                             f"{structure!r}; regenerate the instance")
     mask_path = os.path.join(directory, "mask.bin")
     if os.path.exists(mask_path):
         meta["mask"] = dio.read_vector_bin(mask_path) > 0.5

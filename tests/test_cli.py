@@ -108,6 +108,27 @@ def test_decoupled_requires_kronecker(tmp_path):
     assert cli.main(["solve", "--config", cfg]) == 2
 
 
+def test_solve_from_saved_tomography_matches_generator(tmp_path):
+    # generate -> solve from [problem] path must reproduce a solve straight
+    # from the generator recipe, byte for byte
+    cfg = write_config(tmp_path / "c.ini", {
+        "problem": {"generator": "tomography", "nx": "8", "ny": "8",
+                    "n_t": "3", "rays_per_time": "20", "seed": "4"},
+        "prior": {"spatial": "matern", "nu": "1.5", "ell": "0.2",
+                  "temporal": "minij"},
+        "solver": {"strategy": "fixed", "lambda": "1.0", "max_iter": "15"},
+        "output": {"dir": str(tmp_path / "direct")},
+    })
+    saved = tmp_path / "saved"
+    assert cli.main(["generate", "--config", cfg, f"--output.dir={saved}"]) == 0
+    assert (saved / "A.npz").exists()
+    assert cli.main(["solve", "--config", cfg]) == 0
+    assert cli.main(["solve", "--config", cfg, f"--problem.path={saved}",
+                     f"--output.dir={tmp_path / 'loaded'}"]) == 0
+    direct = (tmp_path / "direct" / "reconstruction.bin").read_bytes()
+    assert (tmp_path / "loaded" / "reconstruction.bin").read_bytes() == direct
+
+
 def test_decoupled_solve_runs(tmp_path, deblur_config):
     out = tmp_path / "dec"
     assert cli.main(["solve", "--config", deblur_config,

@@ -186,3 +186,19 @@ def test_stepping_past_max_steps_raises(rng):
     with pytest.raises(RuntimeError):
         gengk.gengk_step(fact)
     assert fact.k == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_breakdown_step_independent_of_units(seed):
+    # the breakdown test compares alpha/beta with operator-scale numbers only,
+    # so rescaling b (or A) must not move the step at which it fires
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((12, 12))
+    b = rng.standard_normal(12)
+    steps = {}
+    for b_scale, A_scale in [(1.0, 1.0), (1e-13, 1.0), (1e13, 1.0), (1e15, 1.0),
+                             (1.0, 1e-13), (1.0, 1e13)]:
+        fact = gengk.gengk(DenseOperator(A_scale * A), identity(12), identity(12),
+                           b_scale * b, k=20, reorthogonalize=True)
+        steps[(b_scale, A_scale)] = fact.breakdown
+    assert set(steps.values()) == {12}, steps

@@ -134,6 +134,22 @@ def test_genhybr_identity_tikhonov():
     assert res.stop_reason == "breakdown"
 
 
+def test_genhybr_scaled_data_gives_scaled_reconstruction():
+    # the solve is linear in d: data in other units must take the same
+    # iterations and give the reconstruction in those units
+    rng = np.random.default_rng(0)
+    A = DenseOperator(rng.standard_normal((12, 12)))
+    d = rng.standard_normal(12)
+    prior = PriorModel.zero_mean(identity(12))
+    opts = hybrid.SolverOptions(max_iter=12, reorthogonalize=True)
+    ref = hybrid.genhybr_solve(A, identity(12), prior, d, hybrid.Fixed(1e-8), opts)
+    for scale in (1e-13, 1e13, 1e15):
+        res = hybrid.genhybr_solve(A, identity(12), prior, scale * d,
+                                   hybrid.Fixed(1e-8), opts)
+        assert res.iterations == ref.iterations
+        npt.assert_allclose(res.s, scale * ref.s, rtol=1e-10)
+
+
 def test_genhybr_matches_dense_oracle(rng):
     m, n_s, n_t = 30, 8, 4
     n = n_s * n_t

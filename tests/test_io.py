@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.sparse as sp
 
 from dyninv import io as dio
 from dyninv.errors import ParameterError
@@ -49,19 +48,3 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ParameterError):
         dio.read_matrix_bin(path)
-
-
-def test_matrix_csv_roundtrip(tmp_path, rng):
-    M = rng.standard_normal((4, 6))
-    path = tmp_path / "m.csv"
-    dio.write_matrix_csv(path, M)
-    npt.assert_allclose(dio.read_matrix_csv(path), M, rtol=0, atol=0)
-
-
-def test_coo_csv_roundtrip(tmp_path, rng):
-    M = sp.random(9, 5, density=0.3, random_state=7, format="csr")
-    path = tmp_path / "m.coo"
-    dio.write_coo_csv(path, M)
-    back = dio.read_coo_csv(path)
-    assert back.shape == (9, 5)
-    npt.assert_array_equal(back.toarray(), M.toarray())

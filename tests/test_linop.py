@@ -1,12 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from dyninv.errors import BudgetExceededError, ShapeError
-from dyninv.linop import (BlockDiagOperator, CompositionOperator, DenseOperator,
+from dyninv.linop import (AdjointOperator, CompositionOperator, DenseOperator,
                           DiagonalOperator, KroneckerOperator, ScaledIdentityOperator,
                           ScaledOperator, SparseOperator, SumKroneckerOperator,
-                          identity, kron_matvec_reshaped, aslinearoperator)
+                          identity, aslinearoperator)
 
 from conftest import random_spd
 
@@ -31,8 +32,6 @@ def test_kronecker_matvec_example():
     K = KroneckerOperator(Qt, Qs)
     v = np.array([1.0, 0.0, 0.0, 1.0])
     npt.assert_allclose(K.apply(v), [2, 1, 2, 4])
-    # reshaped path agrees
-    npt.assert_allclose(kron_matvec_reshaped(Qt, Qs, v), [2, 1, 2, 4])
     # adjoint agrees with the dense Kronecker product transpose
     dense = np.kron(Qt.entries, Qs.entries)
     w = np.array([2.0, 1.0, 2.0, 4.0])
@@ -46,10 +45,10 @@ def test_kronecker_to_dense_example():
 
 def test_kron_matvec_identity_and_scalar():
     x = np.arange(4.0)
-    npt.assert_allclose(kron_matvec_reshaped(np.eye(2), np.eye(2), x), x)
+    npt.assert_allclose(KroneckerOperator(identity(2), identity(2)).apply(x), x)
     Qs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_allclose(kron_matvec_reshaped([[3.0]], Qs, [1.0, 1.0]),
-                        3.0 * Qs @ [1.0, 1.0])
+    K = KroneckerOperator(DenseOperator([[3.0]]), DenseOperator(Qs))
+    npt.assert_allclose(K.apply([1.0, 1.0]), 3.0 * Qs @ [1.0, 1.0])
 
 
 def test_kronecker_agreement_random(rng):
@@ -63,8 +62,6 @@ def test_kronecker_agreement_random(rng):
         y = rng.standard_normal(p * r)
         npt.assert_allclose(K.apply(x), dense @ x, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(K.apply_adjoint(y), dense.T @ y, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(kron_matvec_reshaped(L, Rm, x), dense @ x,
-                            rtol=1e-12, atol=1e-12)
 
 
 def test_kronecker_solve_and_diagonal(rng):
@@ -77,17 +74,11 @@ def test_kronecker_solve_and_diagonal(rng):
     npt.assert_allclose(K.diagonal(), np.diag(dense), rtol=1e-13)
 
 
-def test_block_diag():
-    op = BlockDiagOperator([DenseOperator([[1]]), DenseOperator([[3]])])
-    npt.assert_allclose(op.to_dense(), [[1, 0], [0, 3]])
-    op2 = BlockDiagOperator([DenseOperator([[1]]), DenseOperator([[2]])])
-    npt.assert_allclose(op2.apply_adjoint([3, 5]), [3, 10])
-
-
 def test_block_diag_equals_kron_with_identity(rng):
+    # repeated blocks: one sparse block-diagonal matrix or identity (x) block
     B = rng.standard_normal((3, 4))
     n_t = 5
-    bd = BlockDiagOperator([DenseOperator(B) for _ in range(n_t)])
+    bd = SparseOperator(sp.block_diag([B] * n_t, format="csr"))
     K = KroneckerOperator(identity(n_t), DenseOperator(B))
     x = rng.standard_normal(4 * n_t)
     npt.assert_allclose(bd.apply(x), K.apply(x), rtol=1e-13, atol=1e-13)
@@ -103,28 +94,30 @@ def test_sum_kronecker_single_term_equals_kron(rng):
     npt.assert_allclose(S.to_dense(), K.to_dense())
 
 
-def test_adjoint_consistency_all_types(rng):
+def every_operator_type(rng):
+    """One operator of each concrete type, square and rectangular."""
     n_t, n_s = 3, 4
-    ops = [
-        DenseOperator(rng.standard_normal((5, 7))),
-        SparseOperator(np.diag(rng.random(6) + 0.5)),
+
+    def dense(m, n):
+        return DenseOperator(rng.standard_normal((m, n)))
+
+    return [
+        dense(5, 7),
+        SparseOperator(sp.block_diag([rng.standard_normal((2, 3)),
+                                      rng.standard_normal((4, 3))], format="csr")),
         DiagonalOperator(rng.random(6) + 0.1),
         ScaledIdentityOperator(2.5, 6),
-        KroneckerOperator(DenseOperator(rng.standard_normal((n_t, n_t))),
-                          DenseOperator(rng.standard_normal((n_s, n_s)))),
-        SumKroneckerOperator([
-            (0.7, DenseOperator(rng.standard_normal((n_t, n_t))),
-             DenseOperator(rng.standard_normal((n_s, n_s)))),
-            (1.3, DenseOperator(rng.standard_normal((n_t, n_t))),
-             DenseOperator(rng.standard_normal((n_s, n_s)))),
-        ]),
-        BlockDiagOperator([DenseOperator(rng.standard_normal((2, 3))),
-                           DenseOperator(rng.standard_normal((4, 3)))]),
-        ScaledOperator(-1.5, DenseOperator(rng.standard_normal((4, 6)))),
-        CompositionOperator(DenseOperator(rng.standard_normal((3, 5))),
-                            DenseOperator(rng.standard_normal((5, 4)))),
+        KroneckerOperator(dense(n_t, n_t), dense(n_s, n_s)),
+        SumKroneckerOperator([(0.7, dense(n_t, n_t), dense(n_s, n_s)),
+                              (1.3, dense(n_t, n_t), dense(n_s, n_s))]),
+        ScaledOperator(-1.5, dense(4, 6)),
+        CompositionOperator(dense(3, 5), dense(5, 4)),
+        AdjointOperator(dense(3, 5)),
     ]
-    for op in ops:
+
+
+def test_adjoint_consistency_all_types(rng):
+    for op in every_operator_type(rng):
         x = rng.standard_normal(op.cols)
         y = rng.standard_normal(op.rows)
         lhs = np.dot(op.apply(x), y)
@@ -142,13 +135,19 @@ def test_to_dense_matches_columns(rng):
         npt.assert_allclose(D[:, j], op.apply(e))
 
 
-def test_densify_budget_refusal():
+def test_densify_budget_refusal(rng):
     op = DenseOperator(np.zeros((3, 3)))
     with pytest.raises(BudgetExceededError):
         op.T.to_dense(budget=4)
+    for op in every_operator_type(rng):
+        size = op.rows * op.cols
+        with pytest.raises(BudgetExceededError):
+            op.to_dense(budget=size - 1)
+        npt.assert_allclose(op.to_dense(budget=size), op.apply_mat(np.eye(op.cols)),
+                            rtol=1e-13, atol=1e-13)
 
 
-def test_shape_errors():
+def test_shape_errors(rng):
     op = DenseOperator([[1, 2], [3, 4]])
     with pytest.raises(ShapeError):
         op.apply([1, 2, 3])
@@ -157,6 +156,23 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         CompositionOperator(DenseOperator(np.zeros((2, 3))),
                             DenseOperator(np.zeros((2, 3))))
+    # every public method checks its input once, whatever the concrete type;
+    # a row vector or a 1-D array must not broadcast into a matrix product
+    for op in every_operator_type(rng):
+        m, n = op.shape
+        calls = [(op.apply, np.ones(n + 1)), (op.apply, np.ones((n, 1))),
+                 (op.apply_adjoint, np.ones(m + 1)),
+                 (op.apply_mat, np.ones((1, 3))), (op.apply_mat, np.ones(n)),
+                 (op.apply_adjoint_mat, np.ones((1, 3))),
+                 (op.apply_adjoint_mat, np.ones(m)),
+                 (op.solve, np.ones(n + 1)),
+                 (op.solve_mat, np.ones((1, 3))), (op.solve_mat, np.ones(n))]
+        for method, arg in calls:
+            with pytest.raises(ShapeError):
+                method(arg)
+        if m != n:
+            with pytest.raises(ShapeError):
+                op.diagonal()
 
 
 def test_aslinearoperator_passthrough(rng):

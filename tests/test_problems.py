@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dyninv.errors import ParameterError
 from dyninv import problems
-from dyninv.linop import BlockDiagOperator, KroneckerOperator
+from dyninv.linop import KroneckerOperator, SparseOperator
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_checkerboard_values():
 def test_tomography_instance():
     inst = problems.gen_ray_tomography(12, 12, 3, rays_per_time=[30, 40, 50],
                                        seed=5)
-    assert isinstance(inst.A, BlockDiagOperator)
+    assert isinstance(inst.A, SparseOperator)
     assert inst.A.rows == 120
     assert inst.A.cols == 144 * 3
     assert inst.meta["mask"].shape == (144,)
@@ -137,8 +139,11 @@ def test_rotating_instance_validation():
     with pytest.raises(ParameterError):
         problems.projection_matrix(8, 8, 0.0, 0)
     inst = problems.gen_rotating_gaussians(12, 12, 4, noise_level=0.0, seed=2)
-    assert isinstance(inst.A, BlockDiagOperator)
-    assert len(inst.A.blocks) == 4
+    assert isinstance(inst.A, SparseOperator)
+    assert inst.A.shape == (4 * inst.meta["radii_count"], 4 * 144)
+    # one projection block per time step, nothing off the block diagonal
+    rows, cols = inst.A.matrix.nonzero()
+    npt.assert_array_equal(rows // inst.meta["radii_count"], cols // 144)
 
 
 # ----------------------------------------------------------------------
@@ -164,3 +169,52 @@ def test_save_load_tomography_roundtrip(tmp_path):
     npt.assert_array_equal(back.d, inst.d)
     npt.assert_array_equal(back.meta["mask"], inst.meta["mask"])
     npt.assert_array_equal(back.A.to_dense(), inst.A.to_dense())
+    x = np.linspace(-1, 1, inst.A.cols)
+    assert back.A.apply(x).tobytes() == inst.A.apply(x).tobytes()
+
+
+def test_save_load_rotating_roundtrip(tmp_path):
+    inst = problems.gen_rotating_gaussians(10, 8, 3, seed=5)
+    problems.save_instance(inst, tmp_path / "inst")
+    back = problems.load_instance(tmp_path / "inst")
+    assert back.kind == "rotating"
+    assert back.d.tobytes() == inst.d.tobytes()
+    assert back.s_true.tobytes() == inst.s_true.tobytes()
+    x = np.random.default_rng(0).standard_normal(inst.A.cols)
+    assert back.A.apply(x).tobytes() == inst.A.apply(x).tobytes()
+
+
+def test_load_rejects_unknown_structure(tmp_path):
+    inst = problems.gen_ray_tomography(8, 8, 2, rays_per_time=25, seed=3)
+    problems.save_instance(inst, tmp_path / "inst")
+    manifest = tmp_path / "inst" / "manifest.ini"
+    manifest.write_text(manifest.read_text().replace("structure = sparse",
+                                                     "structure = blockdiag"))
+    with pytest.raises(ParameterError):
+        problems.load_instance(tmp_path / "inst")
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make, d_sha, Ax_sha, Aty_sha", [
+    (lambda: problems.gen_ray_tomography(10, 8, 3, rays_per_time=[15, 20, 25],
+                                         seed=4),
+     "630845472c345f88efcc49ee55765879a83e7b69b2005ccccaffc4f66ba55532",
+     "d91394a18a923ca050e9611c398eadce48b6b70a8ca751c483638b481605f445",
+     "ba49752ebe42a3ce8c57f68a141e0cd98810c1aa2f0a9ca087e05a0d001f4638"),
+    (lambda: problems.gen_rotating_gaussians(10, 8, 3, noise_level=0.02, seed=5),
+     "647fd2086890d48d2e26fcad797681337c734891931cf8bd2205465ba94cc8ff",
+     "2e24d07efea636dd70fa07b8ecb215a0e00d4764d0bcedcc21bc1da1d83a9d45",
+     "94989568c7f52e1e21232dd0e1926e64532436eda7fdb4f7e2c2ece0159bdac2"),
+], ids=["tomography", "rotating"])
+def test_ray_instances_are_pinned(make, d_sha, Ax_sha, Aty_sha):
+    # digests of d, A x and A' y at fixed seeds: a change to how the forward
+    # model is built or stored must leave every byte of the instance as it was
+    inst = make()
+    x = np.random.default_rng(0).standard_normal(inst.A.cols)
+    y = np.random.default_rng(1).standard_normal(inst.A.rows)
+    assert _sha256(inst.d) == d_sha
+    assert _sha256(inst.A.apply(x)) == Ax_sha
+    assert _sha256(inst.A.apply_adjoint(y)) == Aty_sha
