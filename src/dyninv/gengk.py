@@ -48,11 +48,12 @@ class Bidiagonal:
 class GenGKFactorization:
     """State of the bidiagonalization after k completed steps.
 
-    The bases live in column-major blocks allocated once, with room for
-    ``max_steps`` steps: U and the cached products R^{-1} U have ``A.rows``
-    rows, V and the cached products Q V have ``A.cols`` rows, and each block
-    has ``max_steps + 1`` columns so that u_{k+1} and v_{k+1} fit.  A step
-    writes its columns once and never changes them afterwards; the
+    The bases live in three column-major blocks allocated once, with room
+    for ``max_steps`` steps: U has ``A.rows`` rows, V and the cached products
+    Q V have ``A.cols`` rows, and each block has ``max_steps + 1`` columns so
+    that u_{k+1} and v_{k+1} fit.  R^{-1} U is not kept: a step needs only
+    R^{-1} u_{k+1}, and the diagnostics form R^{-1} U with one ``solve_mat``.
+    A step writes its columns once and never changes them afterwards; the
     ``*_matrix`` accessors return views of the leading columns, which callers
     must not write to.  Untouched columns of a large block never become
     resident.
@@ -72,7 +73,6 @@ class GenGKFactorization:
     def __post_init__(self):
         cols = self.max_steps + 1
         self._U = np.empty((self.A.rows, cols), order="F")   # u_1 .. u_{k+1}
-        self._RinvU = np.empty_like(self._U)                  # R^{-1} u_i
         self._V = np.empty((self.A.cols, cols), order="F")    # v_1 .. v_{k+1}
         self._QV = np.empty_like(self._V)                     # Q v_i
         # filled columns: k + 1 of each, one fewer after a breakdown
@@ -133,10 +133,9 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=beta1,
                               max_steps=max_steps, reorthogonalize=reorthogonalize)
     np.divide(b, beta1, out=fact._U[:, 0])
-    np.divide(Rinv_b, beta1, out=fact._RinvU[:, 0])
     fact._nu = 1
 
-    w = A.apply_adjoint(fact._RinvU[:, 0])
+    w = A.apply_adjoint(Rinv_b / beta1)
     Qw = Q.apply(w)
     alpha1 = np.sqrt(_weighted_norm_sq(w, Qw))
     # no operator scale is known before alpha_1, so only an exact zero breaks down
@@ -151,20 +150,22 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     return fact
 
 
-def _cgs2(W, MW, x, Mx):
+def _cgs2(W, x, Mx, next_Mx):
     """Orthogonalize x against the columns of W in the M inner product.
 
     Two passes of block classical Gram-Schmidt ("twice is enough": Giraud,
-    Langou and Rozloznik, 2005).  ``MW`` = M W and ``Mx`` = M x are carried
-    along, so no product with M is needed.
+    Langou and Rozloznik, 2005).  Each pass takes its coefficients
+    c = W' (M x) from the carried ``Mx`` = M x, so M W is never needed, and
+    then ``next_Mx(x, Mx, c)`` gives M x for the updated x: either
+    Mx - (M W) c from a cached M W, or a fresh product with M.
     """
     for _ in range(2):
-        c = MW.T @ x
+        c = W.T @ Mx
         if not np.any(c):
             break
         # not in place: an operator's solve or apply may hand back its input
         x = x - W @ c
-        Mx = Mx - MW @ c
+        Mx = next_Mx(x, Mx, c)
     return x, Mx
 
 
@@ -181,12 +182,12 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
         raise RuntimeError(f"cannot step past the {fact.max_steps} steps the "
                            f"factorization was allocated for")
     A, R, Q = fact.A, fact.R, fact.Q
-    U, RinvU, V, QV = fact._U, fact._RinvU, fact._V, fact._QV
+    U, V, QV = fact._U, fact._V, fact._QV
 
     u = A.apply(QV[:, k]) - fact.alphas[k] * U[:, k]
     Rinv_u = R.solve(u)
     if fact.reorthogonalize:
-        u, Rinv_u = _cgs2(U[:, :k + 1], RinvU[:, :k + 1], u, Rinv_u)
+        u, Rinv_u = _cgs2(U[:, :k + 1], u, Rinv_u, lambda x, Mx, c: R.solve(x))
     beta = np.sqrt(_weighted_norm_sq(u, Rinv_u, fact.breakdown_tol))
     if beta <= fact.breakdown_tol:
         fact.betas.append(0.0)
@@ -194,13 +195,13 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
         return fact
     fact.betas.append(beta)
     np.divide(u, beta, out=U[:, k + 1])
-    np.divide(Rinv_u, beta, out=RinvU[:, k + 1])
     fact._nu += 1
 
-    v = A.apply_adjoint(RinvU[:, k + 1]) - beta * V[:, k]
+    v = A.apply_adjoint(Rinv_u / beta) - beta * V[:, k]
     Qv = Q.apply(v)
     if fact.reorthogonalize:
-        v, Qv = _cgs2(V[:, :k + 1], QV[:, :k + 1], v, Qv)
+        QVk = QV[:, :k + 1]
+        v, Qv = _cgs2(V[:, :k + 1], v, Qv, lambda x, Mx, c: Mx - QVk @ c)
     alpha = np.sqrt(_weighted_norm_sq(v, Qv, fact.breakdown_tol))
     if alpha <= fact.breakdown_tol:
         fact.alphas.append(0.0)
@@ -231,7 +232,8 @@ def _prefix_relations(fact: GenGKFactorization) -> dict:
     of squares of the residual columns give every prefix at once.
     """
     k, nu, nv = fact.k, fact._nu, fact._nv
-    U, RinvU = fact._U[:, :nu], fact._RinvU[:, :nu]
+    U = fact._U[:, :nu]
+    RinvU = fact.R.solve_mat(U)
     V, QV = fact._V[:, :nv], fact._QV[:, :nv]
     # nu x nv bidiagonal whose column j holds alpha_{j+1} and beta_{j+2}:
     # B_k, plus alpha_{k+1} when v_{k+1} exists, minus the row of a zero

@@ -69,7 +69,12 @@ class Optimal:
 
 @dataclass
 class ProjectedProblem:
-    """SVD view of the (k+1) x k bidiagonal, reused across lambda values."""
+    """SVD view of the (k+1) x k bidiagonal, reused across lambda values.
+
+    ``solve``, ``misfit`` and ``gcv`` take one lambda or an array of them and
+    share one set of filter factors, so lambda = 0 means the same truncated
+    (minimum-norm) solution in all three.
+    """
 
     B: np.ndarray
     beta1: float
@@ -81,38 +86,104 @@ class ProjectedProblem:
     def __post_init__(self):
         self.U, self.s, self.Vt = sla.svd(self.B, full_matrices=True)
         self.c = self.beta1 * self.U[0, :]
+        s = self.s
+        self._s2 = s ** 2
+        self._c_head = self.c[: s.size]
+        self._c_tail_sq = float(np.sum(self.c[s.size:] ** 2))
+        # singular values kept by the unregularized (lambda = 0) solution
+        cutoff = s[0] * np.finfo(float).eps * max(self.B.shape) if s.size else 0.0
+        self._kept = s > cutoff
+        self._c_over_s = np.divide(self._c_head, s, out=np.zeros_like(s), where=s > 0)
 
     @property
     def k(self) -> int:
         return self.B.shape[1]
 
+    def _filters(self, lam):
+        """Filter factors (phi, 1 - phi) of each lambda, one row per lambda.
+
+        phi = s^2 / (s^2 + lam^2) and 1 - phi = lam^2 / (s^2 + lam^2), each
+        formed without cancellation; at lam = 0, phi is 1 on the kept
+        singular values and 0 on the dropped ones.
+        """
+        lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
+        zero = lam2 == 0
+        if not zero.any():
+            denom = self._s2 + lam2
+            return self._s2 / denom, lam2 / denom
+        denom = self._s2 + np.where(zero, 1.0, lam2)
+        phi = np.where(zero, self._kept, self._s2 / denom)
+        return phi, np.where(zero, ~self._kept, lam2 / denom)
+
+    def coefficients(self, lam) -> np.ndarray:
+        """Coefficients f of z(lam) = Vt' f, one row per lambda."""
+        return self._filters(lam)[0] * self._c_over_s
+
     def solve(self, lam: float) -> np.ndarray:
-        """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2."""
-        s = self.s
-        if lam == 0.0:
-            # minimum-norm solution on the nonzero singular values
-            nz = s > s[0] * np.finfo(float).eps * max(self.B.shape) if s.size else s
-            f = np.zeros_like(s)
-            f[nz] = self.c[: s.size][nz] / s[nz]
-        else:
-            f = s * self.c[: s.size] / (s ** 2 + lam ** 2)
-        return self.Vt.T @ f
+        """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2.
 
-    def misfit(self, lam: float) -> float:
-        """||B z(lam) - beta1 e1||_2."""
-        s = self.s
-        filt = lam ** 2 / (s ** 2 + lam ** 2) if lam > 0 else np.where(s > 0, 0.0, 1.0)
-        r2 = np.sum((filt * self.c[: s.size]) ** 2) + np.sum(self.c[s.size:] ** 2)
-        return np.sqrt(max(r2, 0.0))
+        At lam = 0 this is the minimum-norm solution on the singular values
+        above s_max * eps * max(B.shape).
+        """
+        return self.Vt.T @ self.coefficients(lam)
 
-    def gcv(self, lam: float, w: float = 1.0) -> float:
-        """(Weighted) GCV value of the projected problem."""
-        s, k = self.s, self.k
-        phi = s ** 2 / (s ** 2 + lam ** 2) if lam > 0 else (s > 0).astype(float)
-        num = k * (np.sum(((1.0 - phi) * self.c[: s.size]) ** 2)
-                   + np.sum(self.c[s.size:] ** 2))
-        denom = (k + 1) - w * np.sum(phi)
-        return num / denom ** 2
+    def _residual_sq(self, psi):
+        return ((psi * self._c_head) ** 2).sum(axis=-1) + self._c_tail_sq
+
+    def misfit(self, lam):
+        """||B z(lam) - beta1 e1||_2 for one lambda or an array of them."""
+        return np.sqrt(self._residual_sq(self._filters(lam)[1]))
+
+    def gcv(self, lam, w: float = 1.0):
+        """(Weighted) GCV value of the projected problem, for one lambda or
+        an array of them."""
+        phi, psi = self._filters(lam)
+        denom = (self.k + 1) - w * phi.sum(axis=-1)
+        return self.k * self._residual_sq(psi) / denom ** 2
+
+
+class OptimalError:
+    """The error ||mu + Q V_k z(lam) - s_true|| of the Optimal strategy,
+    evaluated without forming an n-vector per lambda.
+
+    With r0 = mu - s_true, G = (Q V)'(Q V) and g = (Q V)' r0, a projected
+    problem with z(lam) = Vt' f(lam) has
+    err(lam)^2 = ||r0||^2 + 2 h' f + f' M f, where M = Vt G Vt' and h = Vt g.
+    G and g grow by one column per gen-GK step at O(n) cost per entry.
+    """
+
+    def __init__(self, r0, max_steps: int):
+        self.r0 = np.asarray(r0, dtype=float).ravel()
+        self.r0_sq = float(self.r0 @ self.r0)
+        self.G = np.empty((max_steps, max_steps))
+        self.g = np.empty(max_steps)
+        self.k = 0
+
+    def extend(self, QV: np.ndarray) -> None:
+        """Bring G and g up to the columns of ``QV``, whose first ``self.k``
+        columns are the ones already seen."""
+        k0, k = self.k, QV.shape[1]
+        new = QV[:, k0:k]
+        self.G[:k, k0:k] = QV.T @ new
+        self.G[k0:k, :k0] = self.G[:k0, k0:k].T
+        self.g[k0:k] = new.T @ self.r0
+        self.k = k
+
+    def objective(self, proj: ProjectedProblem):
+        """err(lam) for ``proj``, for one lambda or an array of them."""
+        k = proj.k
+        if k > self.k:
+            raise ParameterError(f"OptimalError holds {self.k} columns of Q V, "
+                                 f"the projected problem needs {k}")
+        M = proj.Vt @ self.G[:k, :k] @ proj.Vt.T
+        h2 = 2.0 * (proj.Vt @ self.g[:k])
+
+        def err(lam):
+            F = proj.coefficients(lam)
+            sq = self.r0_sq + (F * (h2 + F @ M)).sum(axis=-1)
+            return np.sqrt(np.maximum(sq, 0.0))
+
+        return err
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +212,15 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> float:
 def minimize_over_lambda(f, s_max: float, grid_points: int = LAMBDA_GRID_POINTS) -> float:
     """Log-grid scan over [1e-12 s_max, 1e3 s_max] plus golden-section refinement.
 
-    Ties resolve to the smallest minimizing lambda.
+    ``f`` must accept an array of lambdas and return one value per lambda:
+    the whole grid is evaluated in a single call, the refinement then calls
+    it with scalars.  Ties resolve to the smallest minimizing lambda.
     """
     if s_max <= 0:
         return 0.0
     lo, hi = LAMBDA_LO_FACTOR * s_max, LAMBDA_HI_FACTOR * s_max
     grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
-    vals = np.array([f(l) for l in grid])
+    vals = np.asarray(f(grid))
     i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid_points - 1)]
@@ -155,11 +228,12 @@ def minimize_over_lambda(f, s_max: float, grid_points: int = LAMBDA_GRID_POINTS)
     return lam if f(lam) <= vals[i] else grid[i]
 
 
-def select_lambda(strategy, proj: ProjectedProblem, QV=None, mu=None) -> float:
+def select_lambda(strategy, proj: ProjectedProblem,
+                  error: OptimalError | None = None) -> float:
     """Pick the iteration's regularization parameter under a strategy.
 
-    Optimal needs ``QV`` (the matrix Q V_k) so candidate reconstructions
-    mu + QV z(lam) can be formed cheaply; ``mu`` defaults to zero.
+    Optimal needs ``error``, an ``OptimalError`` that holds at least the
+    ``proj.k`` columns of Q V_k.
     """
     if isinstance(strategy, Fixed):
         return strategy.lam
@@ -169,16 +243,9 @@ def select_lambda(strategy, proj: ProjectedProblem, QV=None, mu=None) -> float:
     if isinstance(strategy, WGCV):
         return minimize_over_lambda(lambda l: proj.gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
-        s_true = np.asarray(strategy.s_true, dtype=float).ravel()
-        if QV is None:
-            raise ParameterError("Optimal strategy requires QV")
-        if mu is None:
-            mu = np.zeros(QV.shape[0])
-
-        def err(lam):
-            return np.linalg.norm(mu + QV @ proj.solve(lam) - s_true)
-
-        return minimize_over_lambda(err, s_max)
+        if error is None:
+            raise ParameterError("Optimal strategy requires an OptimalError")
+        return minimize_over_lambda(error.objective(proj), s_max)
     raise ParameterError(f"unknown regularization strategy {strategy!r}")
 
 
@@ -272,9 +339,14 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
 
     t0 = time.perf_counter()
     # the loop below always takes at least one step
-    fact = gk.gengk_init(A, R, Q, b, max(opts.max_iter, 1),
+    max_steps = max(opts.max_iter, 1)
+    fact = gk.gengk_init(A, R, Q, b, max_steps,
                          reorthogonalize=opts.reorthogonalize)
     init_time = time.perf_counter() - t0
+    error = None
+    if isinstance(strategy, Optimal):
+        error = OptimalError(mu - np.asarray(strategy.s_true, dtype=float).ravel(),
+                             max_steps)
 
     lambdas, residuals, gcvs, rel_errs = [], [], [], []
     wall_times, op_times = [], []
@@ -296,7 +368,9 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
 
         proj = ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
         QV = fact.QV_matrix(k)
-        lam = select_lambda(strategy, proj, QV, mu)
+        if error is not None:
+            error.extend(QV)
+        lam = select_lambda(strategy, proj, error)
         z = proj.solve(lam)
         gval = proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0)
         misfit = proj.misfit(lam)

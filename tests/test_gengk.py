@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -202,3 +204,30 @@ def test_breakdown_step_independent_of_units(seed):
                            b_scale * b, k=20, reorthogonalize=True)
         steps[(b_scale, A_scale)] = fact.breakdown
     assert set(steps.values()) == {12}, steps
+
+
+def test_init_allocates_three_basis_blocks(rng):
+    # U (m rows), V and Q V (n rows), each with max_steps + 1 columns: the
+    # factorization keeps no R^{-1} U block
+    m, n, steps = 2000, 500, 20
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    tracemalloc.start()
+    try:
+        gengk.gengk_init(A, ScaledIdentityOperator(2.0, m), identity(n), b,
+                         max_steps=steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (m + 2 * n) * (steps + 1) * 8 + 64 * 1024
+
+
+def test_relations_dense_weight_full_reorthogonalization(rng):
+    # a dense, non-diagonal SPD R exercises the R^{-1} u recomputed after
+    # each Gram-Schmidt pass, all the way to an exhausted Krylov space
+    A, R, Q, b = random_problem(rng, 20, 15)
+    fact = gengk.gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
+    assert fact.k == 15
+    report = gengk.krylov_basis_span_check(fact)
+    assert report["orth_U"] <= 1e-12
+    assert report["resid_AtRinvU"] <= 1e-12

@@ -76,6 +76,96 @@ def test_wgcv_w1_equals_gcv(rng):
             proj.gcv(lam), abs=1e-14, rel=1e-14)
 
 
+def test_lambda_zero_misfit_and_gcv_agree_with_solve():
+    # s_2 = 1e-17 lies below the cutoff s_1 eps max(B.shape), so solve(0)
+    # drops it; misfit(0) and gcv(0) must treat it as unfitted too
+    B = np.array([[1.0, 0.0], [0.0, 1e-17], [0.0, 0.0]])
+    c = np.array([1.0, 1.0, 0.5])
+    beta1 = np.linalg.norm(c)
+    # Householder reflector with H e1 = c / beta1: beta1 e1 then has the
+    # components c in the left singular basis H of H B
+    u = c / beta1 - np.eye(3)[0]
+    H = np.eye(3) - 2.0 * np.outer(u, u) / (u @ u)
+    proj = hybrid.ProjectedProblem(H @ B, beta1)
+    z = proj.solve(0.0)
+    npt.assert_allclose(np.abs(z), [1.0, 0.0], atol=1e-12)
+    resid = np.linalg.norm(H @ B @ z - beta1 * np.eye(3)[0])
+    assert resid == pytest.approx(np.sqrt(1.0 + 0.25), rel=1e-12)
+    assert proj.misfit(0.0) == pytest.approx(resid, rel=1e-12)
+    # one fitted singular value: G = k * r^2 / (k + 1 - 1)^2
+    assert proj.gcv(0.0) == pytest.approx(2 * resid ** 2 / 4.0, rel=1e-12)
+
+
+def test_array_gcv_and_misfit_match_scalar_loop(rng):
+    for _ in range(5):
+        k = int(rng.integers(1, 12))
+        proj = hybrid.ProjectedProblem(rng.standard_normal((k + 1, k)),
+                                       float(rng.random() + 0.5))
+        s_max = proj.s[0]
+        grid = np.concatenate([[0.0], np.logspace(np.log10(1e-12 * s_max),
+                                                  np.log10(1e3 * s_max), 200)])
+        for w in (1.0, 0.8):
+            npt.assert_allclose(proj.gcv(grid, w), [proj.gcv(l, w) for l in grid],
+                                rtol=1e-14, atol=0)
+        npt.assert_allclose(proj.misfit(grid), [proj.misfit(l) for l in grid],
+                            rtol=1e-14, atol=0)
+        npt.assert_allclose(proj.coefficients(grid),
+                            [proj.coefficients(l) for l in grid], rtol=1e-14, atol=0)
+
+
+def _optimal_setup(rng):
+    A, R, Q, b = random_problem(rng, 20, 15)
+    fact = gengk.gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
+    mu = rng.standard_normal(15)
+    s_true = rng.standard_normal(15)
+    return fact, mu, s_true
+
+
+def test_optimal_error_matches_direct_evaluation(rng):
+    fact, mu, s_true = _optimal_setup(rng)
+    error = hybrid.OptimalError(mu - s_true, fact.k)
+    for k in range(1, fact.k + 1):
+        QV = fact.QV_matrix(k)
+        error.extend(QV)  # one column at a time, as the solver does
+        proj = hybrid.ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+        grid = np.logspace(np.log10(1e-12 * proj.s[0]), np.log10(1e3 * proj.s[0]),
+                           200)
+        direct = [np.linalg.norm(mu + QV @ proj.solve(l) - s_true) for l in grid]
+        npt.assert_allclose(error.objective(proj)(grid), direct, rtol=1e-10)
+
+
+def test_optimal_selection_matches_direct_closure(rng):
+    fact, mu, s_true = _optimal_setup(rng)
+    QV = fact.QV_matrix()
+    error = hybrid.OptimalError(mu - s_true, fact.k)
+    error.extend(QV)
+    for k in (1, 4, 9, fact.k):
+        proj = hybrid.ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+
+        def direct(lam):
+            # the error as the solver evaluated it before the Gram identity:
+            # one reconstruction per lambda
+            return np.linalg.norm(mu + QV[:, :k] @ proj.solve(lam) - s_true)
+
+        def oracle_closure(lam):
+            lam = np.asarray(lam, dtype=float)
+            if lam.ndim:
+                return np.array([direct(l) for l in lam])
+            return direct(lam)
+
+        s_max = proj.s[0]
+        lam_gram = hybrid.select_lambda(hybrid.Optimal(s_true), proj, error=error)
+        lam_direct = hybrid.minimize_over_lambda(oracle_closure, s_max)
+        # compare errors, not lambdas: the error can be flat in lambda
+        assert direct(lam_gram) == pytest.approx(direct(lam_direct), rel=1e-12)
+
+
+def test_optimal_requires_error():
+    proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
+    with pytest.raises(ParameterError):
+        hybrid.select_lambda(hybrid.Optimal(np.zeros(1)), proj)
+
+
 # ----------------------------------------------------------------------
 # Lambda selection
 # ----------------------------------------------------------------------
@@ -114,8 +204,9 @@ def test_select_lambda_optimal_self_consistent(rng):
     proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k).to_dense(), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     s_target = QV @ proj.solve(1.0)
-    lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj, QV=QV,
-                               mu=np.zeros(QV.shape[0]))
+    error = hybrid.OptimalError(-s_target, fact.k)  # mu = 0
+    error.extend(QV)
+    lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj, error=error)
     err = np.linalg.norm(QV @ proj.solve(lam) - s_target)
     assert err <= 1e-6 * np.linalg.norm(s_target)
 
