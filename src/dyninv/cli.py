@@ -172,7 +172,7 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
         Q = priorcov.build_nonseparable_Q(
             nk, priorcov.PointSet.regular_grid_2d(*inst.grid),
             priorcov.PointSet.from_coords(times), nugget)
-        return priorcov.PriorModel(mean, Q, n_s, n_t)
+        return priorcov.PriorModel(mean, Q)
     if structure != "kron":
         raise ParameterError(f"unknown prior structure {structure!r}")
 
@@ -189,7 +189,7 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
     Qt = priorcov.build_temporal_prior(
         variant, n_t=n_t, t=times, kernel=tkern,
         gamma=cfg.get("prior", "fd_gamma", 1e-3, float), nugget=nugget)
-    return priorcov.PriorModel(mean, KroneckerOperator(Qt, Qs), n_s, n_t)
+    return priorcov.PriorModel(mean, KroneckerOperator(Qt, Qs))
 
 
 def build_strategy(cfg: RunConfig, inst: problems.ProblemInstance):
@@ -207,10 +207,14 @@ def build_strategy(cfg: RunConfig, inst: problems.ProblemInstance):
     raise ParameterError(f"unknown strategy {name!r}")
 
 
-def build_options(cfg: RunConfig) -> hybrid.SolverOptions:
+def build_options(cfg: RunConfig, inst: problems.ProblemInstance) -> hybrid.SolverOptions:
+    mask = inst.meta.get("mask")
+    if mask is not None and mask.size == inst.n_s:
+        mask = np.tile(mask, inst.n_t)  # spatial mask, same at every time
     return hybrid.SolverOptions(
         max_iter=cfg.get("solver", "max_iter", 100, int),
         reorthogonalize=cfg.get("solver", "reorth", False, bool),
+        error_mask=mask,
     )
 
 
@@ -255,7 +259,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     inst = load_problem(cfg)
     prior = build_prior(cfg, inst)
     strategy = build_strategy(cfg, inst)
-    options = build_options(cfg)
+    options = build_options(cfg, inst)
     method = cfg.get("solver", "method", "simultaneous")
     outdir = _output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
@@ -289,10 +293,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     summary = {"lambda": lam, "iterations": iters, "wall_time_s": wall,
                "stop_reason": stop, "method": method}
     if inst.s_true is not None:
-        mask = inst.meta.get("mask")
-        if mask is not None and mask.size == inst.n_s:
-            mask = np.tile(mask, inst.n_t)  # spatial mask, same at every time
-        summary["rel_error"] = hybrid.relative_error(s, inst.s_true, mask)
+        summary["rel_error"] = hybrid.relative_error(s, inst.s_true,
+                                                     options.error_mask)
     _write_summary(outdir, summary)
     cfg.write_manifest(outdir, {"run": {"command": "solve"}})
     print(f"solve done: lambda={lam:.6g} iters={iters} stop={stop} "
@@ -310,9 +312,8 @@ def _write_decoupled_logs(outdir, dres):
         for i, res in enumerate(dres.sub_results):
             if res is None:
                 continue
-            lam_i = repr(float(dres.per_time_lambda[i]))
-            writer.writerows([i, lam_i] + row
-                             for row in res.convergence_rows(truth_present=False))
+            lam_i = repr(float(res.lam))
+            writer.writerows([i, lam_i] + row for row in res.convergence_rows())
 
 
 def cmd_variance(cfg: RunConfig) -> int:

@@ -13,7 +13,7 @@ The subproblems are independent and may run in parallel.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,15 +75,20 @@ class DecoupledPlan:
 
 @dataclass
 class DecoupledResult:
-    Z: np.ndarray
     S: np.ndarray               # n_s x n_t reconstruction (prior mean included)
-    per_time_lambda: list
-    per_time_iters: list
-    sub_results: list = field(default_factory=list)
+    sub_results: list           # SolverResult per time, None where sigma_i = 0
 
     @property
     def s(self) -> np.ndarray:
         return self.S.reshape(-1, order="F")
+
+    @property
+    def per_time_lambda(self) -> list:
+        return [0.0 if r is None else r.lam for r in self.sub_results]
+
+    @property
+    def per_time_iters(self) -> list:
+        return [0 if r is None else r.iterations for r in self.sub_results]
 
 
 def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
@@ -142,15 +147,13 @@ def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
     return res.x, res
 
 
-def recombine(plan: DecoupledPlan, Z, Q_s=None, Q_t=None) -> np.ndarray:
+def recombine(plan: DecoupledPlan, Z) -> np.ndarray:
     """Undo the changes of variables: X = Z V_t' L_t^{-T}, S = mu + Q_s X Q_t'."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (plan.n_s, plan.n_t):
         raise ShapeError(f"Z has shape {Z.shape}, expected {(plan.n_s, plan.n_t)}")
-    Q_s = plan.Q_s if Q_s is None else Q_s
-    Qt = plan.Qt if Q_t is None else _dense(Q_t)
     X = sla.solve_triangular(plan.Lt, (Z @ plan.Vt.T).T, lower=False).T
-    S = Q_s.apply_mat(X) @ Qt.T
+    S = plan.Q_s.apply_mat(X) @ plan.Qt.T
     return plan.mu.reshape(plan.n_s, plan.n_t, order="F") + S
 
 
@@ -180,9 +183,5 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     else:
         results = [run(i) for i in range(plan.n_t)]
 
-    Z = np.column_stack([z for z, _ in results])
-    lams = [r.lam if r is not None else 0.0 for _, r in results]
-    iters = [r.iterations if r is not None else 0 for _, r in results]
-    S = recombine(plan, Z)
-    return DecoupledResult(Z=Z, S=S, per_time_lambda=lams, per_time_iters=iters,
-                           sub_results=[r for _, r in results])
+    S = recombine(plan, np.column_stack([z for z, _ in results]))
+    return DecoupledResult(S=S, sub_results=[r for _, r in results])

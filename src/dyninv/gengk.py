@@ -20,8 +20,9 @@ from .errors import DegenerateInputError
 from .linop import LinearOperator
 
 # A new alpha/beta at or below this fraction of the largest alpha/beta so far
-# is declared a breakdown.  Both scale with the operators only, so the test
-# does not depend on the units of b.
+# (for alpha_1, of the operator scale from ``_operator_scale``) is declared a
+# breakdown.  Both scale with the operators only, so the test does not depend
+# on the units of b.
 BREAKDOWN_RTOL = 1e-14
 
 
@@ -119,6 +120,23 @@ def _weighted_norm_sq(v, Mv, tol: float = 0.0) -> float:
     return s
 
 
+def _operator_scale(A: LinearOperator, R: LinearOperator, Q: LinearOperator) -> float:
+    """||A' R^{-1} y||_Q / ||y||_{R^{-1}} for a fixed pseudo-random y.
+
+    This is what alpha_1 would be for b = y, so it has the units of alpha_1
+    but does not depend on the data: a yardstick for the breakdown test at
+    initialization, before any alpha or beta is known.  It is 0 (only an
+    exact zero then breaks down) when R^{-1} gives y no positive norm.
+    """
+    y = np.random.default_rng(0).standard_normal(A.rows)
+    Rinv_y = R.solve(y)
+    y_sq = _weighted_norm_sq(y, Rinv_y)
+    if y_sq <= 0.0:
+        return 0.0
+    w = A.apply_adjoint(Rinv_y)
+    return float(np.sqrt(_weighted_norm_sq(w, Q.apply(w)) / y_sq))
+
+
 def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
                max_steps: int, reorthogonalize: bool = False) -> GenGKFactorization:
     """Initialize the factorization (beta_1, u_1, alpha_1, v_1) with room for
@@ -130,6 +148,9 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     beta1 = np.sqrt(_weighted_norm_sq(b, Rinv_b))
     if beta1 == 0.0:
         raise DegenerateInputError("b = 0: gen-GK iteration undefined")
+    # before the bases are allocated, so that its temporaries add nothing to
+    # the peak memory of initialization
+    scale = _operator_scale(A, R, Q)
     fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=beta1,
                               max_steps=max_steps, reorthogonalize=reorthogonalize)
     np.divide(b, beta1, out=fact._U[:, 0])
@@ -138,8 +159,7 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     w = A.apply_adjoint(Rinv_b / beta1)
     Qw = Q.apply(w)
     alpha1 = np.sqrt(_weighted_norm_sq(w, Qw))
-    # no operator scale is known before alpha_1, so only an exact zero breaks down
-    if alpha1 == 0.0:
+    if alpha1 <= BREAKDOWN_RTOL * scale:
         fact.alphas.append(0.0)
         fact.breakdown = 0
         return fact

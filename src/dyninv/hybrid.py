@@ -209,7 +209,7 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> float:
     return np.exp(0.5 * (a + b))
 
 
-def minimize_over_lambda(f, s_max: float, grid_points: int = LAMBDA_GRID_POINTS) -> float:
+def minimize_over_lambda(f, s_max: float) -> float:
     """Log-grid scan over [1e-12 s_max, 1e3 s_max] plus golden-section refinement.
 
     ``f`` must accept an array of lambdas and return one value per lambda:
@@ -219,11 +219,11 @@ def minimize_over_lambda(f, s_max: float, grid_points: int = LAMBDA_GRID_POINTS)
     if s_max <= 0:
         return 0.0
     lo, hi = LAMBDA_LO_FACTOR * s_max, LAMBDA_HI_FACTOR * s_max
-    grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
+    grid = np.logspace(np.log10(lo), np.log10(hi), LAMBDA_GRID_POINTS)
     vals = np.asarray(f(grid))
     i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
+    b = grid[min(i + 1, LAMBDA_GRID_POINTS - 1)]
     lam = _golden_refine(f, a, b)
     return lam if f(lam) <= vals[i] else grid[i]
 
@@ -253,22 +253,37 @@ def select_lambda(strategy, proj: ProjectedProblem,
 # Full solver
 # ----------------------------------------------------------------------
 
+# consecutive flat or stagnant iterations that stop a GCV-family solve
+FLAT_PATIENCE = 3
+
+
 @dataclass
 class SolverOptions:
     max_iter: int = 100
     reorthogonalize: bool = False
     # stop when the GCV value changes by less than gcv_flat_tol (relative to
     # the first value) or the selected lambda stagnates within lam_stag_tol,
-    # for flat_patience consecutive iterations
+    # for FLAT_PATIENCE consecutive iterations
     gcv_flat_tol: float = 1e-6
     lam_stag_tol: float = 0.01
-    flat_patience: int = 3
-    misfit_tol: float | None = None
     error_mask: np.ndarray | None = None
 
 
 CONVERGENCE_COLUMNS = ["iter", "lambda", "data_misfit", "solution_Qnorm",
                        "gcv_value", "rel_error", "wall_time_s", "op_time_s"]
+
+
+@dataclass(frozen=True)
+class Iteration:
+    """What one solver iteration chose and measured."""
+
+    lam: float
+    misfit: float              # ||B_k z - beta1 e1||
+    qnorm: float               # ||z|| = ||x||_Q
+    gcv: float                 # (weighted) GCV value at lam
+    rel_error: float | None    # against s_true; None without a truth
+    wall_s: float              # the whole iteration
+    step_s: float              # gengk_step, plus initialization on the first
 
 
 @dataclass
@@ -277,41 +292,27 @@ class SolverResult:
     x: np.ndarray
     z: np.ndarray
     lam: float
-    lambda_history: list
-    residual_history: list
-    gcv_history: list
-    rel_error_history: list
+    history: list              # one Iteration per iteration
     stop_reason: str
-    iterations: int
     factorization: gk.GenGKFactorization
-    wall_times: list = field(default_factory=list)
-    op_times: list = field(default_factory=list)
 
-    def convergence_rows(self, truth_present: bool | None = None):
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    def convergence_rows(self):
         """Yield one row of ``CONVERGENCE_COLUMNS`` per iteration, floats in
         full precision and missing values blank."""
-        if truth_present is None:
-            truth_present = bool(self.rel_error_history)
-        for i in range(self.iterations):
-            rel = (repr(float(self.rel_error_history[i]))
-                   if truth_present and i < len(self.rel_error_history) else "")
-            yield [
-                i + 1,
-                repr(float(self.lambda_history[i])),
-                repr(float(self.residual_history[i][0])),
-                repr(float(self.residual_history[i][1])),
-                repr(float(self.gcv_history[i]))
-                if self.gcv_history[i] is not None else "",
-                rel,
-                repr(float(self.wall_times[i])) if i < len(self.wall_times) else "",
-                repr(float(self.op_times[i])) if i < len(self.op_times) else "",
-            ]
+        for i, it in enumerate(self.history, 1):
+            yield [i] + ["" if v is None else repr(float(v))
+                         for v in (it.lam, it.misfit, it.qnorm, it.gcv,
+                                   it.rel_error, it.wall_s, it.step_s)]
 
-    def write_convergence_csv(self, path, truth_present: bool | None = None) -> None:
+    def write_convergence_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CONVERGENCE_COLUMNS)
-            writer.writerows(self.convergence_rows(truth_present))
+            writer.writerows(self.convergence_rows())
 
 
 def relative_error(s, s_true, mask=None) -> float:
@@ -323,13 +324,29 @@ def relative_error(s, s_true, mask=None) -> float:
     return float(np.linalg.norm(s - s_true) / np.linalg.norm(s_true))
 
 
+def _gcv_flat(history: list, opts: SolverOptions) -> bool:
+    """True when each of the last FLAT_PATIENCE iterations left the GCV value
+    flat (relative to the first iteration's) or lambda stagnant."""
+    if len(history) <= FLAT_PATIENCE:
+        return False
+    g_ref = abs(history[0].gcv) if history[0].gcv != 0 else 1.0
+
+    def quiet(prev: Iteration, now: Iteration) -> bool:
+        flat = abs(now.gcv - prev.gcv) / g_ref < opts.gcv_flat_tol
+        stag = prev.lam > 0 and abs(now.lam - prev.lam) / prev.lam < opts.lam_stag_tol
+        return flat or stag
+
+    recent = history[-FLAT_PATIENCE - 1:]
+    return all(quiet(prev, now) for prev, now in zip(recent, recent[1:]))
+
+
 def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
                   strategy, options: SolverOptions | None = None,
                   s_true=None) -> SolverResult:
     """Simultaneous genHyBR: gen-GK on b = d - A mu plus projected regularization.
 
-    Stops on max iterations, gen-GK breakdown, GCV flatness / lambda
-    stagnation (GCV-family strategies only), or an optional misfit tolerance.
+    Stops on max iterations, gen-GK breakdown, or GCV flatness / lambda
+    stagnation (GCV-family strategies only).
     """
     opts = options or SolverOptions()
     d = np.asarray(d, dtype=float).ravel()
@@ -348,22 +365,17 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         error = OptimalError(mu - np.asarray(strategy.s_true, dtype=float).ravel(),
                              max_steps)
 
-    lambdas, residuals, gcvs, rel_errs = [], [], [], []
-    wall_times, op_times = [], []
-    stop_reason = None
-    flat_count = 0
+    history = []
+    # alpha_1 = 0 at initialization ends the solve before its first step
+    stop_reason = "breakdown" if fact.breakdown is not None else None
     z = np.zeros(0)
     lam = strategy.lam if isinstance(strategy, Fixed) else 0.0
     gcv_like = isinstance(strategy, (GCV, WGCV))
 
-    while True:
-        if fact.breakdown is not None:  # alpha_1 = 0 at initialization
-            stop_reason = "breakdown"
-            break
+    while stop_reason is None:
         t_it = time.perf_counter()
-        t_op = time.perf_counter()
         gk.gengk_step(fact)
-        op_time = time.perf_counter() - t_op + (init_time if fact.k == 1 else 0.0)
+        step_s = time.perf_counter() - t_it + (init_time if fact.k == 1 else 0.0)
         k = fact.k
 
         proj = ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
@@ -372,37 +384,20 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
             error.extend(QV)
         lam = select_lambda(strategy, proj, error)
         z = proj.solve(lam)
-        gval = proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0)
-        misfit = proj.misfit(lam)
-        qnorm = float(np.linalg.norm(z))  # ||x||_Q equals ||z|| in the gen-GK basis
-
-        lambdas.append(lam)
-        residuals.append((misfit, qnorm))
-        gcvs.append(gval)
-        if s_true is not None:
-            rel_errs.append(relative_error(mu + QV @ z, s_true, opts.error_mask))
-        wall_times.append(time.perf_counter() - t_it)
-        op_times.append(op_time)
+        history.append(Iteration(
+            lam=lam, misfit=proj.misfit(lam),
+            qnorm=float(np.linalg.norm(z)),  # ||x||_Q equals ||z|| in the gen-GK basis
+            gcv=proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0),
+            rel_error=(None if s_true is None
+                       else relative_error(mu + QV @ z, s_true, opts.error_mask)),
+            wall_s=time.perf_counter() - t_it, step_s=step_s))
 
         if fact.breakdown is not None:
             stop_reason = "breakdown"
-            break
-        if opts.misfit_tol is not None and misfit <= opts.misfit_tol * fact.beta1:
-            stop_reason = "tolerance"
-            break
-        if gcv_like and len(gcvs) >= 2:
-            g_prev, g_now = gcvs[-2], gcvs[-1]
-            g_ref = gcvs[0] if gcvs[0] != 0 else 1.0
-            lam_prev = lambdas[-2]
-            flat = abs(g_now - g_prev) / abs(g_ref) < opts.gcv_flat_tol
-            stag = lam_prev > 0 and abs(lam - lam_prev) / lam_prev < opts.lam_stag_tol
-            flat_count = flat_count + 1 if (flat or stag) else 0
-            if flat_count >= opts.flat_patience:
-                stop_reason = "gcv-flat"
-                break
-        if k >= opts.max_iter:
+        elif gcv_like and _gcv_flat(history, opts):
+            stop_reason = "gcv-flat"
+        elif k >= opts.max_iter:
             stop_reason = "max-iter"
-            break
 
     if z.size:
         x = fact.V_matrix() @ z
@@ -411,11 +406,5 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         x = np.zeros(A.cols)
         s = mu.copy()
 
-    return SolverResult(
-        s=s, x=x, z=z, lam=lam,
-        lambda_history=lambdas, residual_history=residuals,
-        gcv_history=gcvs, rel_error_history=rel_errs,
-        stop_reason=stop_reason or "max-iter",
-        iterations=len(lambdas), factorization=fact,
-        wall_times=wall_times, op_times=op_times,
-    )
+    return SolverResult(s=s, x=x, z=z, lam=lam, history=history,
+                        stop_reason=stop_reason, factorization=fact)

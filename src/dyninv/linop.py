@@ -3,7 +3,7 @@
 Every solver in this package consumes operators only through forward and
 adjoint application plus shape queries.  Concrete operator types cover dense
 matrices, sparse matrices, diagonals, scaled identities, Kronecker products,
-sums of Kronecker products, scalings, and compositions.  A block-diagonal
+sums of Kronecker products, and scalings.  A block-diagonal
 forward model is one sparse matrix (``scipy.sparse.block_diag``), or a
 Kronecker product with an identity when its blocks repeat.
 
@@ -137,10 +137,6 @@ class LinearOperator:
             raise ShapeError("diagonal() requires a square operator")
         return self._diagonal()
 
-    @property
-    def T(self) -> "LinearOperator":
-        return AdjointOperator(self)
-
     def to_dense(self, budget: int | None = None):
         """Materialize the operator as a dense array, subject to a budget."""
         limit = DENSIFY_BUDGET if budget is None else budget
@@ -153,24 +149,6 @@ class LinearOperator:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self._rows}x{self._cols}>"
-
-
-class AdjointOperator(LinearOperator):
-    """Lazy transpose of another operator."""
-
-    def __init__(self, base: LinearOperator):
-        super().__init__(base.cols, base.rows)
-        self.base = base
-
-    def _matvec(self, v):
-        return self.base._rmatvec(v)
-
-    def _rmatvec(self, v):
-        return self.base._matvec(v)
-
-    @property
-    def T(self):
-        return self.base
 
 
 class DenseOperator(LinearOperator):
@@ -250,10 +228,8 @@ class SparseOperator(LinearOperator):
 class DiagonalOperator(LinearOperator):
     """Diagonal operator; used for diagonal noise covariances."""
 
-    def __init__(self, diag, require_positive: bool = False):
+    def __init__(self, diag):
         d = np.asarray(diag, dtype=float).ravel()
-        if require_positive and np.any(d <= 0):
-            raise ParameterError("diagonal covariance requires positive entries")
         super().__init__(d.size, d.size)
         self.diag = d
 
@@ -395,32 +371,6 @@ class ScaledOperator(LinearOperator):
 
     def _diagonal(self):
         return self.alpha * self.base.diagonal()
-
-
-class CompositionOperator(LinearOperator):
-    """Composition ``ops[0] @ ops[1] @ ... @ ops[-1]`` (applied right to left).
-
-    The adjoint is the reversed composition of adjoints.
-    """
-
-    def __init__(self, *ops):
-        if not ops:
-            raise ParameterError("composition requires at least one operator")
-        for a, b in zip(ops[:-1], ops[1:]):
-            if a.cols != b.rows:
-                raise ShapeError(f"cannot compose {a.shape} with {b.shape}")
-        super().__init__(ops[0].rows, ops[-1].cols)
-        self.ops = tuple(ops)
-
-    def _matvec(self, v):
-        for op in reversed(self.ops):
-            v = op._matvec(v)
-        return v
-
-    def _rmatvec(self, v):
-        for op in self.ops:
-            v = op._rmatvec(v)
-        return v
 
 
 def aslinearoperator(x) -> LinearOperator:

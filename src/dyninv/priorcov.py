@@ -118,24 +118,18 @@ def gamma_exp_eval(kernel: GammaExpKernel, r):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Spatial locations or scalar times, optionally normalized to [0,1]^d."""
+    """Spatial locations or scalar times, one row per point."""
 
     coordinates: np.ndarray
-    normalized: bool = False
 
     @staticmethod
-    def from_coords(coords, normalize: bool = False) -> "PointSet":
+    def from_coords(coords) -> "PointSet":
         P = np.asarray(coords, dtype=float)
         if P.ndim == 1:
             P = P[:, None]
         if P.size == 0:
             raise ParameterError("point set must be nonempty")
-        if normalize:
-            lo = P.min(axis=0)
-            span = P.max(axis=0) - lo
-            span[span == 0] = 1.0
-            P = (P - lo) / span
-        return PointSet(P, normalize)
+        return PointSet(P)
 
     @staticmethod
     def regular_grid_2d(nx: int, ny: int) -> "PointSet":
@@ -145,7 +139,7 @@ class PointSet:
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         # column j of the image varies fastest in y: index = ix*ny + iy
         coords = np.column_stack([X.T.ravel(), Y.T.ravel()])
-        return PointSet(coords, True)
+        return PointSet(coords)
 
     def __len__(self):
         return self.coordinates.shape[0]
@@ -267,7 +261,7 @@ def build_nonseparable_Q(kernel: NonseparableKernel, space_points: PointSet,
     return op
 
 
-def build_product_sum_Q(a0, a1, a2, Qt0, Qs0, Qs1, Qt2, n_s=None, n_t=None):
+def build_product_sum_Q(a0, a1, a2, Qt0, Qs0, Qs1, Qt2):
     """Product-sum covariance a0 Qt0 (x) Qs0 + a1 I_t (x) Qs1 + a2 Qt2 (x) I_s.
 
     The coefficients have no principled defaults; they are raw configuration.
@@ -275,10 +269,7 @@ def build_product_sum_Q(a0, a1, a2, Qt0, Qs0, Qs1, Qt2, n_s=None, n_t=None):
     from .linop import SumKroneckerOperator, identity
     if min(a0, a1, a2) < 0:
         raise ParameterError("product-sum coefficients must be nonnegative")
-    if n_t is None:
-        n_t = Qt0.rows
-    if n_s is None:
-        n_s = Qs0.rows
+    n_t, n_s = Qt0.rows, Qs0.rows
     terms = []
     if a0 > 0:
         terms.append((a0, Qt0, Qs0))
@@ -304,8 +295,6 @@ class PriorModel:
 
     mean: np.ndarray
     Q: LinearOperator
-    n_s: int = 0
-    n_t: int = 0
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).ravel()
@@ -313,12 +302,10 @@ class PriorModel:
             raise ParameterError(
                 f"prior mean length {self.mean.size} does not match Q dimension {self.Q.cols}"
             )
-        if self.n_s and self.n_t and self.n_s * self.n_t != self.Q.cols:
-            raise ParameterError("n_s * n_t must equal the Q dimension")
 
     @staticmethod
-    def zero_mean(Q: LinearOperator, n_s: int = 0, n_t: int = 0) -> "PriorModel":
-        return PriorModel(np.zeros(Q.cols), Q, n_s, n_t)
+    def zero_mean(Q: LinearOperator) -> "PriorModel":
+        return PriorModel(np.zeros(Q.cols), Q)
 
 
 def build_temporal_prior(variant: str, *, n_t: int | None = None, t=None,

@@ -77,16 +77,9 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     return PosteriorApprox(lam=lam, Q=Q, Z=Z, deltas=deltas, thetas=thetas)
 
 
-def variance_diag(approx: PosteriorApprox, q_diag=None) -> np.ndarray:
-    """Diagonal of the approximate posterior covariance.
-
-    ``q_diag`` overrides the prior diagonal (e.g. ones for a unit-diagonal
-    kernel covariance); by default it is taken from the operator.
-    """
-    if q_diag is None:
-        q_diag = approx.Q.diagonal()
-    q_diag = np.asarray(q_diag, dtype=float).ravel()
-    out = q_diag / approx.lam ** 2
+def variance_diag(approx: PosteriorApprox) -> np.ndarray:
+    """Diagonal of the approximate posterior covariance."""
+    out = approx.Q.diagonal() / approx.lam ** 2
     if approx.rank:
         out = out - (approx.Z ** 2) @ approx.deltas
     return out
@@ -136,26 +129,22 @@ def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
     return out, k_total
 
 
-def decoupled_variance_diag(plan, factorizations, lam: float,
-                            qs_diag=None) -> np.ndarray:
+def decoupled_variance_diag(plan, factorizations: dict, lam: float) -> np.ndarray:
     """Per-time variance field (n_s x n_t) from per-subproblem factorizations.
 
-    ``factorizations`` maps time index -> GenGKFactorization (or None for
-    sigma_i = 0 columns, which fall back to the prior).  Each subproblem may
-    have a different rank.
+    ``factorizations`` maps time index -> GenGKFactorization; a missing or
+    None entry is allowed only for sigma_i = 0 columns, which fall back to
+    the prior.  Each subproblem may have a different rank.
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
     n_s, n_t = plan.n_s, plan.n_t
-    if qs_diag is None:
-        qs_diag = plan.Q_s.diagonal()
-    qs_diag = np.asarray(qs_diag, dtype=float).ravel()
+    qs_diag = plan.Q_s.diagonal()
 
     # diag(D_j) for each time block
     d_blocks = np.zeros((n_s, n_t))
     for j in range(n_t):
-        fact = factorizations.get(j) if hasattr(factorizations, "get") \
-            else factorizations[j]
+        fact = factorizations.get(j)
         if fact is None:
             if not plan.sigma_zero(j):
                 raise ParameterError(f"missing factorization for nonzero-sigma "

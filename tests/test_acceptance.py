@@ -375,7 +375,7 @@ def test_acceptance_semiconvergence_and_selection():
     # unregularized iteration semiconverges: interior error minimum
     res0 = hybrid.genhybr_solve(inst.A, inst.R, prior, inst.d,
                                 hybrid.Fixed(0.0), opts, s_true=inst.s_true)
-    errs = np.array(res0.rel_error_history)
+    errs = np.array([it.rel_error for it in res0.history])
     i_min = int(errs.argmin())
     _check(failures, 0 < i_min < len(errs) - 1,
            f"no interior minimum (argmin {i_min + 1} of {len(errs)})")

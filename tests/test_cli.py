@@ -71,7 +71,7 @@ def test_solve_writes_artifacts(tmp_path, deblur_config):
     assert summary.getfloat("summary", "lambda") == 1.0
     assert summary.has_option("summary", "rel_error")
     assert summary.get("summary", "stop_reason") in (
-        "max-iter", "gcv-flat", "breakdown", "tolerance")
+        "max-iter", "gcv-flat", "breakdown")
 
 
 def test_solve_identity_toy(tmp_path):
@@ -127,6 +127,23 @@ def test_solve_from_saved_tomography_matches_generator(tmp_path):
                      f"--output.dir={tmp_path / 'loaded'}"]) == 0
     direct = (tmp_path / "direct" / "reconstruction.bin").read_bytes()
     assert (tmp_path / "loaded" / "reconstruction.bin").read_bytes() == direct
+
+
+def test_convergence_log_error_is_masked_like_the_summary(tmp_path):
+    # the last row and the summary report the same iterate, so both must
+    # measure its error on the tomography mask
+    cfg = write_config(tmp_path / "c.ini", {
+        "problem": {"generator": "tomography", "nx": "16", "ny": "16",
+                    "n_t": "3", "rays_per_time": "6", "seed": "3"},
+        "solver": {"strategy": "wgcv", "max_iter": "10"},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["solve", "--config", cfg]) == 0
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "out" / "summary.ini")
+    lines = (tmp_path / "out" / "convergence.csv").read_text().strip().splitlines()
+    assert lines[0].split(",")[5] == "rel_error"
+    assert float(lines[-1].split(",")[5]) == summary.getfloat("summary", "rel_error")
 
 
 def test_decoupled_solve_runs(tmp_path, deblur_config):

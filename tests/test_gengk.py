@@ -38,6 +38,18 @@ def test_init_breakdown_b_orthogonal_to_range():
     assert fact.alphas == [0.0]
 
 
+def test_init_breakdown_b_orthogonal_to_range_up_to_rounding():
+    # b is a left singular vector of a zero singular value: A' b is rounding
+    # noise (alpha_1 ~ 1e-15), which must not start a Krylov space
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 10))
+    b = np.linalg.svd(A)[0][:, 8]
+    fact = gengk.gengk(DenseOperator(A), identity(12), identity(10), b, k=10,
+                       reorthogonalize=True)
+    assert fact.k == 0
+    assert fact.breakdown == 0
+
+
 def test_init_zero_b_rejected():
     with pytest.raises(DegenerateInputError):
         gengk.gengk_init(identity(2), identity(2), identity(2), [0.0, 0.0],

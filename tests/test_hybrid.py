@@ -248,7 +248,7 @@ def test_genhybr_matches_dense_oracle(rng):
     mu = rng.standard_normal(n)
     d = rng.standard_normal(m)
     lam = 0.7
-    prior = PriorModel(mu, DenseOperator(Q), n_s, n_t)
+    prior = PriorModel(mu, DenseOperator(Q))
     res = hybrid.genhybr_solve(DenseOperator(A), DenseOperator(R), prior, d,
                                hybrid.Fixed(lam),
                                hybrid.SolverOptions(max_iter=200,
@@ -297,7 +297,33 @@ def test_gcv_flat_stopping(rng):
                                hybrid.WGCV(0.8),
                                hybrid.SolverOptions(max_iter=60))
     assert res.stop_reason in ("gcv-flat", "breakdown", "max-iter")
-    assert len(res.lambda_history) == res.iterations
+    assert len(res.history) == res.iterations
+
+
+@pytest.mark.parametrize("seed, wgcv_iters, gcv_iters",
+                         [(0, 59, 59), (1, 51, 10), (2, 45, 6), (3, 59, 7)])
+def test_gcv_flat_stop_fires_on_the_first_run_of_three(seed, wgcv_iters, gcv_iters):
+    # the stop is re-derived from the recorded gcv and lambda values: the
+    # last three iterations are flat or stagnant, and no earlier three are
+    rng = np.random.default_rng(seed)
+    A, R, Q, _ = random_problem(rng, 60, 40)
+    s_true = rng.standard_normal(40)
+    d = A @ s_true + 0.01 * rng.standard_normal(60)
+    prior = PriorModel.zero_mean(DenseOperator(Q))
+    opts = hybrid.SolverOptions(max_iter=60)
+    for strategy, iters in ((hybrid.WGCV(0.8), wgcv_iters), (hybrid.GCV(), gcv_iters)):
+        res = hybrid.genhybr_solve(DenseOperator(A), DenseOperator(R), prior, d,
+                                   strategy, opts)
+        assert (res.stop_reason, res.iterations) == ("gcv-flat", iters)
+        gcv = [it.gcv for it in res.history]
+        lam = [it.lam for it in res.history]
+        g_ref = abs(gcv[0]) if gcv[0] != 0 else 1.0
+        flat = [abs(gcv[i] - gcv[i - 1]) / g_ref < opts.gcv_flat_tol
+                or (lam[i - 1] > 0
+                    and abs(lam[i] - lam[i - 1]) / lam[i - 1] < opts.lam_stag_tol)
+                for i in range(1, iters)]
+        runs = [all(flat[i - 3:i]) for i in range(3, len(flat) + 1)]
+        assert runs[-1] and not any(runs[:-1])
 
 
 def test_convergence_csv(tmp_path, rng):
@@ -316,7 +342,7 @@ def test_convergence_csv(tmp_path, rng):
                           "gcv_value", "rel_error"]
     assert len(lines) == res.iterations + 1
     # full round-trip precision
-    assert float(lines[1].split(",")[1]) == res.lambda_history[0]
+    assert float(lines[1].split(",")[1]) == res.history[0].lam
 
 
 def test_relative_error_masked():

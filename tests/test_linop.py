@@ -4,10 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 from dyninv.errors import BudgetExceededError, ShapeError
-from dyninv.linop import (AdjointOperator, CompositionOperator, DenseOperator,
-                          DiagonalOperator, KroneckerOperator, ScaledIdentityOperator,
-                          ScaledOperator, SparseOperator, SumKroneckerOperator,
-                          identity, aslinearoperator)
+from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
+                          ScaledIdentityOperator, ScaledOperator, SparseOperator,
+                          SumKroneckerOperator, identity, aslinearoperator)
 
 from conftest import random_spd
 
@@ -111,8 +110,6 @@ def every_operator_type(rng):
         SumKroneckerOperator([(0.7, dense(n_t, n_t), dense(n_s, n_s)),
                               (1.3, dense(n_t, n_t), dense(n_s, n_s))]),
         ScaledOperator(-1.5, dense(4, 6)),
-        CompositionOperator(dense(3, 5), dense(5, 4)),
-        AdjointOperator(dense(3, 5)),
     ]
 
 
@@ -125,20 +122,7 @@ def test_adjoint_consistency_all_types(rng):
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y), type(op)
 
 
-def test_to_dense_matches_columns(rng):
-    op = CompositionOperator(DenseOperator(rng.standard_normal((3, 4))),
-                             DenseOperator(rng.standard_normal((4, 5))))
-    D = op.to_dense()
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = 1.0
-        npt.assert_allclose(D[:, j], op.apply(e))
-
-
 def test_densify_budget_refusal(rng):
-    op = DenseOperator(np.zeros((3, 3)))
-    with pytest.raises(BudgetExceededError):
-        op.T.to_dense(budget=4)
     for op in every_operator_type(rng):
         size = op.rows * op.cols
         with pytest.raises(BudgetExceededError):
@@ -153,9 +137,6 @@ def test_shape_errors(rng):
         op.apply([1, 2, 3])
     with pytest.raises(ShapeError):
         op.apply_adjoint([1, 2, 3])
-    with pytest.raises(ShapeError):
-        CompositionOperator(DenseOperator(np.zeros((2, 3))),
-                            DenseOperator(np.zeros((2, 3))))
     # every public method checks its input once, whatever the concrete type;
     # a row vector or a 1-D array must not broadcast into a matrix product
     for op in every_operator_type(rng):

@@ -215,8 +215,6 @@ def test_product_sum_Q(rng):
 
 
 def test_point_set_normalization():
-    pts = pc.PointSet.from_coords([[2.0, 10.0], [4.0, 30.0]], normalize=True)
-    npt.assert_allclose(pts.coordinates, [[0, 0], [1, 1]])
     grid = pc.PointSet.regular_grid_2d(3, 2)
     assert len(grid) == 6
     # column-stacked ordering: index = ix*ny + iy, y varies fastest
@@ -229,5 +227,5 @@ def test_prior_model_validation():
     Q = pc.DenseOperator(np.eye(4))
     with pytest.raises(ParameterError):
         pc.PriorModel(np.zeros(3), Q)
-    p = pc.PriorModel.zero_mean(Q, n_s=2, n_t=2)
+    p = pc.PriorModel.zero_mean(Q)
     assert p.mean.shape == (4,)
