@@ -197,7 +197,7 @@ def build_strategy(cfg: RunConfig, inst: problems.ProblemInstance):
     if name == "fixed":
         return hybrid.Fixed(cfg.require("solver", "lambda", float))
     if name == "gcv":
-        return hybrid.GCV()
+        return hybrid.WGCV(1.0)
     if name == "wgcv":
         return hybrid.WGCV(cfg.get("solver", "wgcv_weight", 0.8, float))
     if name == "optimal":
@@ -278,8 +278,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         per_time = cfg.get("solver", "per_time_lambda", False, bool)
         dres = decoupled.decoupled_solve(
             At, As, Rt, Rs, Qt, Qs, inst.d, strategy, options, mu=prior.mean,
-            per_time_lambda=per_time,
-            threads=cfg.get("solver", "threads", os.cpu_count() or 1, int))
+            per_time_lambda=per_time)
         s = dres.s
         lam = max(dres.per_time_lambda)
         iters = sum(dres.per_time_iters)
@@ -308,12 +307,11 @@ def _write_decoupled_logs(outdir, dres):
 
     with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_index", "lambda_i"] + hybrid.CONVERGENCE_COLUMNS)
+        writer.writerow(["time_index"] + hybrid.CONVERGENCE_COLUMNS)
         for i, res in enumerate(dres.sub_results):
             if res is None:
                 continue
-            lam_i = repr(float(res.lam))
-            writer.writerows([i, lam_i] + row for row in res.convergence_rows())
+            writer.writerows([i] + row for row in res.convergence_rows())
 
 
 def cmd_variance(cfg: RunConfig) -> int:

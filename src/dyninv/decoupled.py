@@ -166,7 +166,13 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     the simultaneous solver) a non-Fixed strategy is rejected; with it true
     each subproblem selects its own parameter.  The statistical meaning of
     per-subproblem parameters is an open caveat; see the package docs.
+    Optimal is rejected either way: the subproblem unknowns are transformed
+    coefficients, which have no truth to measure an error against.
     """
+    if isinstance(strategy, hybrid.Optimal):
+        raise ParameterError(
+            "decoupled solve cannot use the optimal strategy: its truth is s, "
+            "and the subproblem unknowns are transformed coefficients with no truth")
     if not per_time_lambda and not isinstance(strategy, hybrid.Fixed):
         raise ParameterError(
             "shared-lambda decoupled solve requires a Fixed strategy; "

@@ -2,9 +2,9 @@
 
 Projects the change-of-variables problem onto the gen-GK subspace, solves the
 small regularized bidiagonal least-squares problem, selects the regularization
-parameter automatically per iteration (GCV, weighted GCV, a fixed value, or
-the truth-based optimal parameter), and recovers the reconstruction by undoing
-the change of variables: s_k = mu + Q V_k z_k.
+parameter automatically per iteration (weighted GCV, which is plain GCV at
+weight 1, a fixed value, or the truth-based optimal parameter), and recovers
+the reconstruction by undoing the change of variables: s_k = mu + Q V_k z_k.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from .priorcov import PriorModel
 LAMBDA_LO_FACTOR = 1e-12
 LAMBDA_HI_FACTOR = 1e3
 LAMBDA_GRID_POINTS = 200
+# zoom rounds after the grid; each one narrows the log-lambda spacing by
+# (LAMBDA_ZOOM_POINTS - 1) / 2, so 14 rounds of 17 points take the grid's
+# spacing of 0.17 down to about 4e-14
+LAMBDA_ZOOM_ROUNDS = 14
+LAMBDA_ZOOM_POINTS = 17
 
 
 # ----------------------------------------------------------------------
@@ -41,13 +46,8 @@ class Fixed:
 
 
 @dataclass(frozen=True)
-class GCV:
-    pass
-
-
-@dataclass(frozen=True)
 class WGCV:
-    """Weighted GCV with a constant weight in (0, 1]; w = 1 reduces to GCV."""
+    """Weighted GCV with a constant weight in (0, 1]; w = 1 is plain GCV."""
 
     w: float = 0.8
 
@@ -190,42 +190,30 @@ class OptimalError:
 # Lambda selection
 # ----------------------------------------------------------------------
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> float:
-    # golden-section minimization on log-lambda
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(np.exp(c)), f(np.exp(d))
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(np.exp(d))
-    return np.exp(0.5 * (a + b))
-
-
 def minimize_over_lambda(f, s_max: float) -> float:
-    """Log-grid scan over [1e-12 s_max, 1e3 s_max] plus golden-section refinement.
+    """Minimize ``f`` over lambda in [1e-12 s_max, 1e3 s_max] by log-grid zoom.
 
-    ``f`` must accept an array of lambdas and return one value per lambda:
-    the whole grid is evaluated in a single call, the refinement then calls
-    it with scalars.  Ties resolve to the smallest minimizing lambda.
+    ``f`` takes an array of lambdas and returns one value per lambda.  Each
+    round evaluates it once, on a log grid: first LAMBDA_GRID_POINTS points
+    over the whole window, then LAMBDA_ZOOM_POINTS points between the two
+    neighbours of the previous round's minimizer.  The result is the best
+    lambda seen; ties resolve to the smallest minimizing lambda.
     """
     if s_max <= 0:
         return 0.0
-    lo, hi = LAMBDA_LO_FACTOR * s_max, LAMBDA_HI_FACTOR * s_max
-    grid = np.logspace(np.log10(lo), np.log10(hi), LAMBDA_GRID_POINTS)
-    vals = np.asarray(f(grid))
-    i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, LAMBDA_GRID_POINTS - 1)]
-    lam = _golden_refine(f, a, b)
-    return lam if f(lam) <= vals[i] else grid[i]
+    a, b = np.log(LAMBDA_LO_FACTOR * s_max), np.log(LAMBDA_HI_FACTOR * s_max)
+    n = LAMBDA_GRID_POINTS
+    best_lam, best_val = 0.0, np.inf
+    for _ in range(1 + LAMBDA_ZOOM_ROUNDS):
+        x = np.linspace(a, b, n)
+        vals = f(np.exp(x))
+        i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
+        # <= moves an equal value to the smaller lambda a later round found
+        if vals[i] <= best_val:
+            best_lam, best_val = float(np.exp(x[i])), vals[i]
+        a, b = x[max(i - 1, 0)], x[min(i + 1, n - 1)]
+        n = LAMBDA_ZOOM_POINTS
+    return best_lam
 
 
 def select_lambda(strategy, proj: ProjectedProblem,
@@ -238,8 +226,6 @@ def select_lambda(strategy, proj: ProjectedProblem,
     if isinstance(strategy, Fixed):
         return strategy.lam
     s_max = proj.s[0] if proj.s.size else 0.0
-    if isinstance(strategy, GCV):
-        return minimize_over_lambda(proj.gcv, s_max)
     if isinstance(strategy, WGCV):
         return minimize_over_lambda(lambda l: proj.gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
@@ -253,7 +239,7 @@ def select_lambda(strategy, proj: ProjectedProblem,
 # Full solver
 # ----------------------------------------------------------------------
 
-# consecutive flat or stagnant iterations that stop a GCV-family solve
+# consecutive flat or stagnant iterations that stop a WGCV solve
 FLAT_PATIENCE = 3
 
 
@@ -346,7 +332,7 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     """Simultaneous genHyBR: gen-GK on b = d - A mu plus projected regularization.
 
     Stops on max iterations, gen-GK breakdown, or GCV flatness / lambda
-    stagnation (GCV-family strategies only).
+    stagnation (WGCV only).
     """
     opts = options or SolverOptions()
     d = np.asarray(d, dtype=float).ravel()
@@ -370,7 +356,6 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     stop_reason = "breakdown" if fact.breakdown is not None else None
     z = np.zeros(0)
     lam = strategy.lam if isinstance(strategy, Fixed) else 0.0
-    gcv_like = isinstance(strategy, (GCV, WGCV))
 
     while stop_reason is None:
         t_it = time.perf_counter()
@@ -394,7 +379,7 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
 
         if fact.breakdown is not None:
             stop_reason = "breakdown"
-        elif gcv_like and _gcv_flat(history, opts):
+        elif isinstance(strategy, WGCV) and _gcv_flat(history, opts):
             stop_reason = "gcv-flat"
         elif k >= opts.max_iter:
             stop_reason = "max-iter"

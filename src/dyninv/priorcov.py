@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.special as special
 from scipy.spatial.distance import cdist
 
-from .errors import ConditioningError, ParameterError
+from .errors import ParameterError
 from .linop import DenseOperator, KroneckerOperator, ScaledIdentityOperator, LinearOperator
 
 DEFAULT_NUGGET = 1e-10
@@ -159,10 +159,7 @@ def build_kernel_matrix(kernel, points: PointSet, nugget: float = DEFAULT_NUGGET
     M = 0.5 * (M + M.T)
     M[np.diag_indices_from(M)] += nugget
     op = DenseOperator(M)
-    try:
-        op._factor()
-    except ConditioningError:
-        raise
+    op._factor()
     return op
 
 

@@ -263,19 +263,19 @@ def test_acceptance_gcv_machinery():
             _check(failures, abs(g1 - g0) <= 1e-14 * max(1.0, abs(g0)),
                    f"w=1 weighted GCV deviates at lam={lam:.3e}")
 
-    # golden-section refinement agrees with a fine grid search
+    # the zoom search agrees with a fine grid search
     A, R, Q, _ = random_problem(rng, 40, 30)
     s_true = rng.standard_normal(30)
     d = A @ s_true + 0.1 * rng.standard_normal(40)
     fact = gengk.gengk(*wrap(A, R, Q), d, k=15, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
     s_max = proj.s[0]
-    lam_golden = hybrid.minimize_over_lambda(proj.gcv, s_max)
+    lam_search = hybrid.minimize_over_lambda(proj.gcv, s_max)
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 2000)
     lam_grid = grid[np.argmin([proj.gcv(l) for l in grid])]
     cell = grid[1] / grid[0]
-    _check(failures, lam_grid / cell <= lam_golden <= lam_grid * cell,
-           f"golden {lam_golden:.4e} vs grid {lam_grid:.4e}")
+    _check(failures, lam_grid / cell <= lam_search <= lam_grid * cell,
+           f"search {lam_search:.4e} vs grid {lam_grid:.4e}")
 
     # at full rank with a square-plus-one data space the projected GCV
     # reproduces the full-form objective, so the minimizers coincide

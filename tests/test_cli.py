@@ -165,14 +165,24 @@ def test_decoupled_convergence_log_has_a_row_per_iteration(tmp_path, deblur_conf
     summary.read(out / "summary.ini")
     iterations = summary.getint("summary", "iterations")  # sum(per_time_iters)
     lines = (out / "convergence.csv").read_text().strip().splitlines()
-    assert lines[0].split(",") == ["time_index", "lambda_i", "iter", "lambda",
+    assert lines[0].split(",") == ["time_index", "iter", "lambda",
                                    "data_misfit", "solution_Qnorm", "gcv_value",
                                    "rel_error", "wall_time_s", "op_time_s"]
     assert iterations > 0 and len(lines) == iterations + 1
     for line in lines[1:]:
         fields = line.split(",")
-        assert len(fields) == 10 and fields[7] == ""  # no truth per subproblem
-        assert all(np.isfinite(float(fields[j])) for j in (1, 3, 4, 5, 6))
+        assert len(fields) == 9 and fields[6] == ""  # no truth per subproblem
+        assert all(np.isfinite(float(fields[j])) for j in (2, 3, 4, 5))
+
+
+def test_decoupled_optimal_strategy_is_a_validation_error(tmp_path, deblur_config,
+                                                          capsys):
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled", "--solver.strategy=optimal",
+                     "--solver.per_time_lambda=true",
+                     f"--output.dir={tmp_path / 'dec'}"]) == 2
+    err = capsys.readouterr().err
+    assert "optimal strategy" in err and "no truth" in err
 
 
 def test_variance_identity_field(tmp_path):

@@ -116,11 +116,21 @@ def test_threads_match_serial(rng):
 def test_shared_lambda_requires_fixed_strategy(rng):
     At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=4, n_t=2)
     with pytest.raises(ParameterError):
-        decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.GCV())
+        decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.WGCV(1.0))
     # per-time selection is allowed explicitly
-    res = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.GCV(),
+    res = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.WGCV(1.0),
                                     per_time_lambda=True)
     assert len(res.per_time_lambda) == 2
+
+
+def test_optimal_strategy_is_rejected(rng):
+    # the truth is a space-time s; the subproblem unknowns are transformed
+    # coefficients, so no subproblem has a truth to select against
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=4, n_t=2)
+    with pytest.raises(ParameterError, match="no truth"):
+        decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d,
+                                  hybrid.Optimal(np.zeros(8)),
+                                  per_time_lambda=True)
 
 
 def test_shape_validation(rng):

@@ -179,11 +179,11 @@ def test_select_lambda_gcv_monotone_case():
     # G(lam) = 25 lam^4 / (1 + 2 lam^2)^2 increases in lam: minimizer at the
     # lower end of the search bracket
     proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
-    lam = hybrid.select_lambda(hybrid.GCV(), proj)
+    lam = hybrid.select_lambda(hybrid.WGCV(1.0), proj)
     assert lam <= 1e-11
 
 
-def test_golden_matches_fine_grid(rng):
+def test_search_matches_fine_grid(rng):
     for _ in range(5):
         k = int(rng.integers(2, 10))
         B = rng.standard_normal((k + 1, k))
@@ -195,6 +195,76 @@ def test_golden_matches_fine_grid(rng):
         # within one cell of the fine grid
         ratio = grid[1] / grid[0]
         assert lam_grid / ratio <= lam <= lam_grid * ratio
+
+
+def golden_section_lambda(f, s_max):
+    """Reference search: the same 200-point grid, then 80 golden-section steps
+    on log-lambda between the neighbours of the grid minimizer, kept only if
+    the refined lambda does no worse than the grid point."""
+    if s_max <= 0:
+        return 0.0
+    grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
+    vals = f(grid)
+    i = int(np.argmin(vals))
+
+    def g(x):
+        return f(np.array([np.exp(x)]))[0]
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.log(grid[max(i - 1, 0)]), np.log(grid[min(i + 1, grid.size - 1)])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = g(c), g(d)
+    for _ in range(80):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = g(d)
+    x = 0.5 * (a + b)
+    return np.exp(x) if g(x) <= vals[i] else grid[i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_does_no_worse_than_golden_section(seed, monkeypatch):
+    # every selection of seeded GCV, WGCV and Optimal solves, re-run through
+    # the golden-section reference on the same objective
+    rng = np.random.default_rng(seed)
+    A, R, Q, _ = random_problem(rng, 60, 40)
+    s_true = rng.standard_normal(40)
+    d = A @ s_true + 0.01 * rng.standard_normal(60)
+    prior = PriorModel.zero_mean(DenseOperator(Q))
+    selections = []
+    search = hybrid.minimize_over_lambda
+
+    def recorded(f, s_max):
+        lam = search(f, s_max)
+        selections.append((f, s_max, lam))
+        return lam
+
+    monkeypatch.setattr(hybrid, "minimize_over_lambda", recorded)
+    for strategy in (hybrid.WGCV(1.0), hybrid.WGCV(0.8), hybrid.Optimal(s_true)):
+        hybrid.genhybr_solve(DenseOperator(A), DenseOperator(R), prior, d,
+                             strategy, hybrid.SolverOptions(max_iter=40))
+    assert len(selections) > 40
+    for f, s_max, lam in selections:
+        ref = golden_section_lambda(f, s_max)
+        assert f(np.array([lam]))[0] <= f(np.array([ref]))[0] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("f, s_max, expected", [
+    (np.ones_like, 2.0, 2e-12),
+    (lambda lam: lam, 2.0, 2e-12),
+    (lambda lam: -lam, 2.0, 2e3),
+    # flat on [e^-2, e^2]: ties resolve to the plateau's left edge
+    (lambda lam: np.maximum(np.abs(np.log(lam)), 2.0), 1.0, np.exp(-2.0)),
+    (np.ones_like, 0.0, 0.0),
+], ids=["constant", "increasing", "decreasing", "plateau", "s_max-zero"])
+def test_search_edge_cases(f, s_max, expected):
+    assert hybrid.minimize_over_lambda(f, s_max) == pytest.approx(
+        expected, rel=1e-12, abs=0)
 
 
 def test_select_lambda_optimal_self_consistent(rng):
@@ -311,7 +381,7 @@ def test_gcv_flat_stop_fires_on_the_first_run_of_three(seed, wgcv_iters, gcv_ite
     d = A @ s_true + 0.01 * rng.standard_normal(60)
     prior = PriorModel.zero_mean(DenseOperator(Q))
     opts = hybrid.SolverOptions(max_iter=60)
-    for strategy, iters in ((hybrid.WGCV(0.8), wgcv_iters), (hybrid.GCV(), gcv_iters)):
+    for strategy, iters in ((hybrid.WGCV(0.8), wgcv_iters), (hybrid.WGCV(1.0), gcv_iters)):
         res = hybrid.genhybr_solve(DenseOperator(A), DenseOperator(R), prior, d,
                                    strategy, opts)
         assert (res.stop_reason, res.iterations) == ("gcv-flat", iters)
