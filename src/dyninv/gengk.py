@@ -3,9 +3,10 @@
 Produces a small lower-bidiagonal matrix together with bases U and V that are
 orthonormal in the weighted inner products.  The bases are stored as
 column-major blocks allocated once for a given number of steps.  Optional full
-reorthogonalization (two-pass block classical Gram-Schmidt in the weighted
-inner products) is available; it is recommended whenever the factorization
-feeds variance estimation.
+reorthogonalization (block classical Gram-Schmidt in the weighted inner
+products: one pass, and a second only when the first shrinks the vector's
+weighted norm by more than 1/sqrt(2), the DGKS criterion) is available; it is
+recommended whenever the factorization feeds variance estimation.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class GenGKFactorization:
     alphas: list = field(default_factory=list)   # alpha_1 .. alpha_{k+1}
     betas: list = field(default_factory=list)    # beta_2 .. beta_{k+1}
     breakdown: int | None = None                 # step index at which it occurred
+    # Gram-Schmidt passes of each step, u and v together (0 without reorthogonalization)
+    reorth_passes: list = field(default_factory=list)
 
     def __post_init__(self):
         cols = self.max_steps + 1
@@ -110,7 +113,10 @@ class GenGKFactorization:
 
 
 def _weighted_norm_sq(v, Mv, tol: float = 0.0) -> float:
-    s = float(np.dot(v, Mv))
+    return _clamped_norm_sq(float(np.dot(v, Mv)), tol)
+
+
+def _clamped_norm_sq(s: float, tol: float = 0.0) -> float:
     if s < 0:
         # benign at breakdown, where v itself has collapsed to rounding noise
         if np.sqrt(-s) > tol:
@@ -170,23 +176,36 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     return fact
 
 
-def _cgs2(W, x, Mx, next_Mx):
+def _cgs2(W, x, Mx, next_Mx, dgks: bool = True):
     """Orthogonalize x against the columns of W in the M inner product.
 
-    Two passes of block classical Gram-Schmidt ("twice is enough": Giraud,
-    Langou and Rozloznik, 2005).  Each pass takes its coefficients
-    c = W' (M x) from the carried ``Mx`` = M x, so M W is never needed, and
-    then ``next_Mx(x, Mx, c)`` gives M x for the updated x: either
-    Mx - (M W) c from a cached M W, or a fresh product with M.
+    Block classical Gram-Schmidt with the DGKS criterion (Daniel, Gragg,
+    Kaufman and Stewart, 1976): one pass, and a second only when the first
+    shrinks the weighted norm by more than 1/sqrt(2), that is when
+    x'Mx < x0'Mx0 / 2 afterwards; two passes are always enough ("twice is
+    enough": Giraud, Langou and Rozloznik, 2005).  Each pass takes its
+    coefficients c = W' (M x) from the carried ``Mx`` = M x, so M W is never
+    needed, and then ``next_Mx(x, Mx, c)`` gives M x for the updated x:
+    either Mx - (M W) c from a cached M W, or a fresh product with M.
+    With ``dgks=False`` both passes run whatever the first achieved.
+
+    Returns ``(x, Mx, x'Mx, passes)``: the squared weighted norm is the one
+    the criterion computed last, unclamped.
     """
-    for _ in range(2):
+    norm_sq = float(np.dot(x, Mx))
+    passes = 0
+    while passes < 2:
         c = W.T @ Mx
         if not np.any(c):
             break
         # not in place: an operator's solve or apply may hand back its input
         x = x - W @ c
         Mx = next_Mx(x, Mx, c)
-    return x, Mx
+        passes += 1
+        norm0_sq, norm_sq = norm_sq, float(np.dot(x, Mx))
+        if dgks and norm_sq >= 0.5 * norm0_sq:
+            break
+    return x, Mx, norm_sq, passes
 
 
 def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
@@ -207,8 +226,12 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     u = A.apply(QV[:, k]) - fact.alphas[k] * U[:, k]
     Rinv_u = R.solve(u)
     if fact.reorthogonalize:
-        u, Rinv_u = _cgs2(U[:, :k + 1], u, Rinv_u, lambda x, Mx, c: R.solve(x))
-    beta = np.sqrt(_weighted_norm_sq(u, Rinv_u, fact.breakdown_tol))
+        u, Rinv_u, u_sq, passes = _cgs2(U[:, :k + 1], u, Rinv_u,
+                                        lambda x, Mx, c: R.solve(x))
+    else:
+        u_sq, passes = float(np.dot(u, Rinv_u)), 0
+    fact.reorth_passes.append(passes)
+    beta = np.sqrt(_clamped_norm_sq(u_sq, fact.breakdown_tol))
     if beta <= fact.breakdown_tol:
         fact.betas.append(0.0)
         fact.breakdown = k + 1
@@ -221,8 +244,12 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     Qv = Q.apply(v)
     if fact.reorthogonalize:
         QVk = QV[:, :k + 1]
-        v, Qv = _cgs2(V[:, :k + 1], v, Qv, lambda x, Mx, c: Mx - QVk @ c)
-    alpha = np.sqrt(_weighted_norm_sq(v, Qv, fact.breakdown_tol))
+        v, Qv, v_sq, passes = _cgs2(V[:, :k + 1], v, Qv,
+                                    lambda x, Mx, c: Mx - QVk @ c)
+        fact.reorth_passes[-1] += passes
+    else:
+        v_sq = float(np.dot(v, Qv))
+    alpha = np.sqrt(_clamped_norm_sq(v_sq, fact.breakdown_tol))
     if alpha <= fact.breakdown_tol:
         fact.alphas.append(0.0)
         fact.breakdown = k + 1
@@ -311,12 +338,14 @@ def dump_diagnostics_csv(fact: GenGKFactorization, path) -> None:
     """Write per-iteration alpha/beta and relation residuals as CSV.
 
     Row i reports the Gram deviations and the larger relation residual of the
-    first i steps, as ``krylov_basis_span_check`` would for them.
+    first i steps, as ``krylov_basis_span_check`` would for them, and the
+    Gram-Schmidt passes that step i ran (0 without reorthogonalization).
     """
     rel = _prefix_relations(fact) if fact.k else {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "alpha", "beta", "orth_U", "orth_V", "rec_resid"])
+        writer.writerow(["iter", "alpha", "beta", "orth_U", "orth_V", "rec_resid",
+                         "reorth_passes"])
         for i in range(fact.k):
             writer.writerow([
                 i + 1,
@@ -325,4 +354,5 @@ def dump_diagnostics_csv(fact: GenGKFactorization, path) -> None:
                 repr(float(rel["orth_U"][i])),
                 repr(float(rel["orth_V"][i])),
                 repr(float(max(rel["resid_AQV"][i], rel["resid_AtRinvU"][i]))),
+                fact.reorth_passes[i],
             ])

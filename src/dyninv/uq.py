@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateInputError, ParameterError
-from .gengk import GenGKFactorization, gengk
+from .gengk import GenGKFactorization, _cgs2, gengk
 from .linop import LinearOperator
 
 # Ritz values below this (relative to the largest) are dropped: they contribute
@@ -121,10 +121,14 @@ def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
             used = np.hstack([used, fact.U_matrix()])
         # restart direction in the range of A, R^{-1}-orthogonal to the used u's
         b_cur = A.apply(rng.standard_normal(A.cols))
-        norm0 = np.sqrt(b_cur @ R.solve(b_cur))
-        for _ in range(2):
-            b_cur = b_cur - used @ (used.T @ R.solve(b_cur))
-        if np.sqrt(max(b_cur @ R.solve(b_cur), 0.0)) <= RESTART_RTOL * norm0:
+        Rinv_b = R.solve(b_cur)
+        norm0_sq = float(b_cur @ Rinv_b)
+        # both passes: the restarted run is never reorthogonalized against the
+        # used u's, so whatever one pass leaves along them (rounding level)
+        # grows with its Krylov space and can add a step beyond the rank of A
+        b_cur, _, norm_sq, _ = _cgs2(used, b_cur, Rinv_b,
+                                     lambda x, Mx, c: R.solve(x), dgks=False)
+        if np.sqrt(max(norm_sq, 0.0)) <= RESTART_RTOL * np.sqrt(norm0_sq):
             break
     return out, k_total
 

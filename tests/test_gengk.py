@@ -8,7 +8,7 @@ from dyninv.errors import DegenerateInputError
 from dyninv import gengk
 from dyninv.linop import DenseOperator, ScaledIdentityOperator, identity
 
-from conftest import random_problem
+from conftest import random_problem, random_spd
 
 
 def wrap(A, R, Q):
@@ -80,6 +80,8 @@ def test_random_weighted_orthogonality(rng):
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-10
     assert report["orth_V"] <= 1e-10
+    # well conditioned: one Gram-Schmidt pass for u and one for v suffice
+    assert fact.reorth_passes == [2] * fact.k
 
 
 def test_relations_without_reorthogonalization(rng):
@@ -159,8 +161,10 @@ def test_diagnostics_csv(tmp_path, rng):
     path = tmp_path / "diag.csv"
     gengk.dump_diagnostics_csv(fact, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:3] == ["iter", "alpha", "beta"]
+    assert lines[0].split(",") == ["iter", "alpha", "beta", "orth_U", "orth_V",
+                                   "rec_resid", "reorth_passes"]
     assert len(lines) == fact.k + 1
+    assert [int(line.split(",")[6]) for line in lines[1:]] == fact.reorth_passes
 
 
 def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
@@ -172,7 +176,7 @@ def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
     rows = path.read_text().strip().splitlines()[1:]
     assert len(rows) == fact.k
     for i, row in enumerate(rows, start=1):
-        orth_u, orth_v, rec = (float(x) for x in row.split(",")[3:])
+        orth_u, orth_v, rec = (float(x) for x in row.split(",")[3:6])
         report = gengk.krylov_basis_span_check(gengk.gengk(*ops, b, k=i))
         npt.assert_allclose(
             [orth_u, orth_v, rec],
@@ -243,3 +247,35 @@ def test_relations_dense_weight_full_reorthogonalization(rng):
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-12
     assert report["resid_AtRinvU"] <= 1e-12
+    # v_16 lies in the span of v_1 .. v_15 up to rounding: the first pass
+    # removes nearly all of it, so DGKS runs a second
+    assert max(fact.reorth_passes) >= 3
+
+
+def _m_orthonormal_block(rng, n, k):
+    # M dense SPD and W with W' M W = I, from the Cholesky factor of G' M G
+    M = random_spd(rng, n)
+    G = rng.standard_normal((n, k))
+    L = np.linalg.cholesky(G.T @ M @ G)
+    W = np.linalg.solve(L, G.T).T
+    return M, W
+
+
+def test_cgs2_second_pass_when_first_cancels(rng):
+    # x is W c plus a 1e-10 component: one pass leaves W' M y at the rounding
+    # level of W c, far above that of y itself, so the second pass is needed
+    M, W = _m_orthonormal_block(rng, 50, 10)
+    x = W @ rng.standard_normal(10) + 1e-10 * rng.standard_normal(50)
+    y, My, y_sq, passes = gengk._cgs2(W, x, M @ x, lambda x, Mx, c: M @ x)
+    assert passes == 2
+    assert np.max(np.abs(W.T @ My)) / np.sqrt(y_sq) <= 1e-14
+
+
+def test_cgs2_one_pass_for_a_random_vector(rng):
+    M, W = _m_orthonormal_block(rng, 50, 10)
+    x = rng.standard_normal(50)
+    y, My, y_sq, passes = gengk._cgs2(W, x, M @ x, lambda x, Mx, c: M @ x)
+    assert passes == 1
+    # the norm after the pass, not the one before it
+    assert y_sq == pytest.approx(y @ My, rel=1e-14)
+    assert np.max(np.abs(W.T @ My)) / np.sqrt(y_sq) <= 1e-14
