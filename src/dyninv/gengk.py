@@ -6,7 +6,9 @@ column-major blocks allocated once for a given number of steps.  Optional full
 reorthogonalization (block classical Gram-Schmidt in the weighted inner
 products: one pass, and a second only when the first shrinks the vector's
 weighted norm by more than 1/sqrt(2), the DGKS criterion) is available; it is
-recommended whenever the factorization feeds variance estimation.
+recommended whenever the factorization feeds variance estimation, and
+required by ``gengk_restart``, which continues a reorthogonalized
+factorization past a breakdown in the same bases.
 """
 
 from __future__ import annotations
@@ -28,25 +30,6 @@ BREAKDOWN_RTOL = 1e-14
 
 
 @dataclass
-class Bidiagonal:
-    """(k+1) x k lower bidiagonal with diagonal ``alphas`` and subdiagonal ``betas``."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.alphas)
-
-    def to_dense(self) -> np.ndarray:
-        k = self.k
-        B = np.zeros((k + 1, k))
-        B[np.arange(k), np.arange(k)] = self.alphas
-        B[np.arange(1, k + 1), np.arange(k)] = self.betas
-        return B
-
-
-@dataclass
 class GenGKFactorization:
     """State of the bidiagonalization after k completed steps.
 
@@ -55,10 +38,10 @@ class GenGKFactorization:
     Q V have ``A.cols`` rows, and each block has ``max_steps + 1`` columns so
     that u_{k+1} and v_{k+1} fit.  R^{-1} U is not kept: a step needs only
     R^{-1} u_{k+1}, and the diagnostics form R^{-1} U with one ``solve_mat``.
-    A step writes its columns once and never changes them afterwards; the
-    ``*_matrix`` accessors return views of the leading columns, which callers
-    must not write to.  Untouched columns of a large block never become
-    resident.
+    A step or restart writes its columns once and never changes them
+    afterwards; the ``*_matrix`` accessors return views of the leading
+    columns, which callers must not write to.  Untouched columns of a large
+    block never become resident.
     """
 
     A: LinearOperator
@@ -70,7 +53,8 @@ class GenGKFactorization:
     reorthogonalize: bool = False
     alphas: list = field(default_factory=list)   # alpha_1 .. alpha_{k+1}
     betas: list = field(default_factory=list)    # beta_2 .. beta_{k+1}
-    breakdown: int | None = None                 # step index at which it occurred
+    breakdown: int | None = None                 # step index at which it occurred;
+                                                 # a restart clears it
     # Gram-Schmidt passes of each step, u and v together (0 without reorthogonalization)
     reorth_passes: list = field(default_factory=list)
 
@@ -87,10 +71,14 @@ class GenGKFactorization:
         """Number of completed steps: B_k is (k+1) x k and V_k has k columns."""
         return len(self.betas)
 
-    def bidiagonal(self, k: int | None = None) -> Bidiagonal:
-        if k is None:
-            k = self.k
-        return Bidiagonal(np.asarray(self.alphas[:k]), np.asarray(self.betas[:k]))
+    def bidiagonal(self, k: int | None = None) -> np.ndarray:
+        """B_k: (k+1) x k lower bidiagonal with alpha_1 .. alpha_k on the
+        diagonal and beta_2 .. beta_{k+1} below it."""
+        k = self.k if k is None else k
+        B = np.zeros((k + 1, k))
+        B[np.arange(k), np.arange(k)] = self.alphas[:k]
+        B[np.arange(1, k + 1), np.arange(k)] = self.betas[:k]
+        return B
 
     def U_matrix(self, k: int | None = None) -> np.ndarray:
         """View of u_1 .. u_{k+1} (u_{k+1} is absent after a beta breakdown)."""
@@ -150,33 +138,22 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != A.rows:
         raise DegenerateInputError(f"b has length {b.size}, expected {A.rows}")
-    Rinv_b = R.solve(b)
-    beta1 = np.sqrt(_weighted_norm_sq(b, Rinv_b))
-    if beta1 == 0.0:
-        raise DegenerateInputError("b = 0: gen-GK iteration undefined")
     # before the bases are allocated, so that its temporaries add nothing to
     # the peak memory of initialization
     scale = _operator_scale(A, R, Q)
-    fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=beta1,
+    fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=0.0,
                               max_steps=max_steps, reorthogonalize=reorthogonalize)
-    np.divide(b, beta1, out=fact._U[:, 0])
-    fact._nu = 1
-
-    w = A.apply_adjoint(Rinv_b / beta1)
-    Qw = Q.apply(w)
-    alpha1 = np.sqrt(_weighted_norm_sq(w, Qw))
-    if alpha1 <= BREAKDOWN_RTOL * scale:
-        fact.alphas.append(0.0)
+    fact.beta1, Rinv_b, _ = _append_u(fact, b, R.solve(b), 0.0)
+    if fact.beta1 == 0.0:
+        raise DegenerateInputError("b = 0: gen-GK iteration undefined")
+    w = A.apply_adjoint(Rinv_b / fact.beta1)
+    fact.alphas.append(_append_v(fact, w, Q.apply(w), BREAKDOWN_RTOL * scale)[0])
+    if fact.alphas[0] == 0.0:
         fact.breakdown = 0
-        return fact
-    fact.alphas.append(alpha1)
-    np.divide(w, alpha1, out=fact._V[:, 0])
-    np.divide(Qw, alpha1, out=fact._QV[:, 0])
-    fact._nv = 1
     return fact
 
 
-def _cgs2(W, x, Mx, next_Mx, dgks: bool = True):
+def _cgs2(W, x, Mx, next_Mx):
     """Orthogonalize x against the columns of W in the M inner product.
 
     Block classical Gram-Schmidt with the DGKS criterion (Daniel, Gragg,
@@ -187,10 +164,9 @@ def _cgs2(W, x, Mx, next_Mx, dgks: bool = True):
     coefficients c = W' (M x) from the carried ``Mx`` = M x, so M W is never
     needed, and then ``next_Mx(x, Mx, c)`` gives M x for the updated x:
     either Mx - (M W) c from a cached M W, or a fresh product with M.
-    With ``dgks=False`` both passes run whatever the first achieved.
 
     Returns ``(x, Mx, x'Mx, passes)``: the squared weighted norm is the one
-    the criterion computed last, unclamped.
+    the criterion computed last, unclamped (x0'Mx0 when W has no columns).
     """
     norm_sq = float(np.dot(x, Mx))
     passes = 0
@@ -203,9 +179,52 @@ def _cgs2(W, x, Mx, next_Mx, dgks: bool = True):
         Mx = next_Mx(x, Mx, c)
         passes += 1
         norm0_sq, norm_sq = norm_sq, float(np.dot(x, Mx))
-        if dgks and norm_sq >= 0.5 * norm0_sq:
+        if norm_sq >= 0.5 * norm0_sq:
             break
     return x, Mx, norm_sq, passes
+
+
+def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float):
+    """Store u / ||u||_{R^{-1}} as the next U column, after orthogonalizing u
+    against the filled ones when the factorization is reorthogonalized
+    (otherwise against none, so that ``_cgs2`` only takes u' R^{-1} u).
+
+    Returns ``(norm, R^{-1} u, passes)``; a norm at most ``tol`` stores
+    nothing and is returned as 0.0.
+    """
+    R, U = fact.R, fact._U[:, :fact._nu if fact.reorthogonalize else 0]
+    u, Rinv_u, u_sq, passes = _cgs2(U, u, Rinv_u, lambda x, Mx, c: R.solve(x))
+    norm = np.sqrt(_clamped_norm_sq(u_sq, tol))
+    if norm <= tol:
+        return 0.0, Rinv_u, passes
+    np.divide(u, norm, out=fact._U[:, fact._nu])
+    fact._nu += 1
+    return norm, Rinv_u, passes
+
+
+def _append_v(fact: GenGKFactorization, v, Qv, tol: float):
+    """Store v / ||v||_Q and Q v / ||v||_Q as the next V and Q V columns, as
+    ``_append_u`` does for u.  Returns ``(norm, passes)``."""
+    n = fact._nv if fact.reorthogonalize else 0
+    V, QV = fact._V[:, :n], fact._QV[:, :n]
+    v, Qv, v_sq, passes = _cgs2(V, v, Qv, lambda x, Mx, c: Mx - QV @ c)
+    norm = np.sqrt(_clamped_norm_sq(v_sq, tol))
+    if norm <= tol:
+        return 0.0, passes
+    np.divide(v, norm, out=fact._V[:, fact._nv])
+    np.divide(Qv, norm, out=fact._QV[:, fact._nv])
+    fact._nv += 1
+    return norm, passes
+
+
+def _append_next_v(fact: GenGKFactorization, Rinv_u, beta: float) -> int:
+    """Append v_{i+1} and alpha_{i+1} from beta_{i+1} and R^{-1} u_{i+1} of the
+    stored unit u_{i+1}; a zero alpha is a breakdown.  Returns the passes."""
+    v = fact.A.apply_adjoint(Rinv_u) - beta * fact._V[:, fact._nv - 1]
+    alpha, passes = _append_v(fact, v, fact.Q.apply(v), fact.breakdown_tol)
+    fact.alphas.append(alpha)
+    fact.breakdown = None if alpha else fact.k
+    return passes
 
 
 def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
@@ -220,45 +239,46 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     if k >= fact.max_steps:
         raise RuntimeError(f"cannot step past the {fact.max_steps} steps the "
                            f"factorization was allocated for")
-    A, R, Q = fact.A, fact.R, fact.Q
-    U, V, QV = fact._U, fact._V, fact._QV
-
-    u = A.apply(QV[:, k]) - fact.alphas[k] * U[:, k]
-    Rinv_u = R.solve(u)
-    if fact.reorthogonalize:
-        u, Rinv_u, u_sq, passes = _cgs2(U[:, :k + 1], u, Rinv_u,
-                                        lambda x, Mx, c: R.solve(x))
-    else:
-        u_sq, passes = float(np.dot(u, Rinv_u)), 0
-    fact.reorth_passes.append(passes)
-    beta = np.sqrt(_clamped_norm_sq(u_sq, fact.breakdown_tol))
-    if beta <= fact.breakdown_tol:
-        fact.betas.append(0.0)
-        fact.breakdown = k + 1
-        return fact
+    u = fact.A.apply(fact._QV[:, k]) - fact.alphas[k] * fact._U[:, k]
+    beta, Rinv_u, passes = _append_u(fact, u, fact.R.solve(u), fact.breakdown_tol)
     fact.betas.append(beta)
-    np.divide(u, beta, out=U[:, k + 1])
-    fact._nu += 1
-
-    v = A.apply_adjoint(Rinv_u / beta) - beta * V[:, k]
-    Qv = Q.apply(v)
-    if fact.reorthogonalize:
-        QVk = QV[:, :k + 1]
-        v, Qv, v_sq, passes = _cgs2(V[:, :k + 1], v, Qv,
-                                    lambda x, Mx, c: Mx - QVk @ c)
-        fact.reorth_passes[-1] += passes
-    else:
-        v_sq = float(np.dot(v, Qv))
-    alpha = np.sqrt(_clamped_norm_sq(v_sq, fact.breakdown_tol))
-    if alpha <= fact.breakdown_tol:
-        fact.alphas.append(0.0)
+    fact.reorth_passes.append(passes)
+    if beta == 0.0:
         fact.breakdown = k + 1
-        return fact
-    fact.alphas.append(alpha)
-    np.divide(v, alpha, out=V[:, k + 1])
-    np.divide(Qv, alpha, out=QV[:, k + 1])
-    fact._nv += 1
+    else:
+        fact.reorth_passes[-1] += _append_next_v(fact, Rinv_u / beta, beta)
     return fact
+
+
+def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator,
+                  rtol: float) -> bool:
+    """Fill the vector that a breakdown left missing, so that stepping can go on.
+
+    A missing u (beta breakdown) becomes A y, and a missing v (alpha
+    breakdown) A' y, for a random y, orthogonalized against all of U or V;
+    the zero stays in B, so the gen-GK relations keep holding.  A new u is
+    followed by its v and alpha as in a step, and that alpha may break down
+    again.  Returns False, storing nothing, when the new vector keeps at most
+    ``rtol`` of its weighted norm: that side is exhausted.  The restart's
+    Gram-Schmidt passes are not counted in ``reorth_passes``.
+    """
+    if fact.breakdown is None or not fact.reorthogonalize:
+        raise RuntimeError("only a broken-down reorthogonalized factorization restarts")
+    A = fact.A
+    if fact._nv == len(fact.alphas):
+        u = A.apply(rng.standard_normal(A.cols))
+        Rinv_u = fact.R.solve(u)
+        tol = rtol * np.sqrt(_weighted_norm_sq(u, Rinv_u))
+        norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol)
+        if norm:
+            _append_next_v(fact, Rinv_u / norm, 0.0)
+        return bool(norm)
+    v = A.apply_adjoint(rng.standard_normal(A.rows))
+    Qv = fact.Q.apply(v)
+    if not _append_v(fact, v, Qv, rtol * np.sqrt(_weighted_norm_sq(v, Qv)))[0]:
+        return False
+    fact.breakdown = None
+    return True
 
 
 def gengk(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,

@@ -363,7 +363,7 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         step_s = time.perf_counter() - t_it + (init_time if fact.k == 1 else 0.0)
         k = fact.k
 
-        proj = ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+        proj = ProjectedProblem(fact.bidiagonal(k), fact.beta1)
         QV = fact.QV_matrix(k)
         if error is not None:
             error.extend(QV)

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateInputError, ParameterError
-from .gengk import GenGKFactorization, _cgs2, gengk
+from .errors import ParameterError
+from .gengk import GenGKFactorization, gengk_init, gengk_restart, gengk_step
 from .linop import LinearOperator
 
 # Ritz values below this (relative to the largest) are dropped: they contribute
 # negligibly and destabilize the lam^2/theta ratios.
 THETA_RTOL = 1e-12
 
-# A restart vector that orthogonalization against the data-space directions
-# used so far shrinks below this fraction of its weighted norm lies in their
-# span up to rounding: the range of A is exhausted.
+# A restart vector that orthogonalization against the basis shrinks below
+# this fraction of its weighted norm lies in its span up to rounding: that
+# side of the range of A is exhausted.
 RESTART_RTOL = 1e-8
 
 
@@ -65,7 +65,7 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     if k == 0:
         return PosteriorApprox(lam=lam, Q=Q, Z=np.zeros((Q.cols, 0)),
                                deltas=np.zeros(0), thetas=np.zeros(0))
-    B = fact.bidiagonal(k).to_dense()
+    B = fact.bidiagonal(k)
     # eigendecomposition of B'B from the SVD of B avoids squaring conditioning
     _, s, Vt = sla.svd(B, full_matrices=False)
     thetas = s ** 2
@@ -89,48 +89,27 @@ def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
                             Q: LinearOperator, b, lam: float, rank: int):
     """Posterior variance from up to ``rank`` reorthogonalized gen-GK steps.
 
-    Returns ``(variance, k)``, where k is the number of steps whose downdates
-    were applied.  When the Krylov space breaks down before ``rank`` steps,
-    the bidiagonalization restarts from A y for a random y, made orthogonal
-    (in the R^{-1} inner product) to every u used so far.  A breakdown leaves
-    an invariant subspace behind, so the restarted run explores a
-    complementary one and the per-run downdates combine additively.  Once a
-    restart vector lies in the span of the used u's up to rounding, the range
-    of A is exhausted and the downdate is complete, so k never exceeds the
-    rank of A.
+    Returns ``(variance, k)`` with k the number of steps in the downdate.
+    One factorization starts from b (from A y for a random y when b = 0)
+    and goes on past every breakdown with ``gengk_restart`` until it has
+    ``rank`` steps or a restart finds the range of A exhausted.  Its bases
+    stay orthonormal, so k is at most the smaller dimension of A; it can
+    exceed the rank of A when an alpha or beta that is rounding noise passes
+    the breakdown test and starts a step on a noise direction.
     """
-    out = Q.diagonal() / lam ** 2
-    if rank <= 0:
-        return out, 0
     rng = np.random.default_rng(0)
-    used = np.zeros((A.rows, 0))  # u_i of finished runs: u_i' R^{-1} u_j = delta_ij
-    k_total = 0
-    b_cur = np.asarray(b, dtype=float).ravel()
-    for _ in range(rank + 1):
-        try:
-            fact = gengk(A, R, Q, b_cur, rank - k_total, reorthogonalize=True)
-        except DegenerateInputError:  # b = 0
-            fact = None
-        if fact is not None:
-            approx = build_posterior_approx(fact, Q, lam)
-            if approx.rank:
-                out = out - (approx.Z ** 2) @ approx.deltas
-            k_total += fact.k
-            if fact.breakdown is None or k_total >= rank:
-                break
-            used = np.hstack([used, fact.U_matrix()])
-        # restart direction in the range of A, R^{-1}-orthogonal to the used u's
-        b_cur = A.apply(rng.standard_normal(A.cols))
-        Rinv_b = R.solve(b_cur)
-        norm0_sq = float(b_cur @ Rinv_b)
-        # both passes: the restarted run is never reorthogonalized against the
-        # used u's, so whatever one pass leaves along them (rounding level)
-        # grows with its Krylov space and can add a step beyond the rank of A
-        b_cur, _, norm_sq, _ = _cgs2(used, b_cur, Rinv_b,
-                                     lambda x, Mx, c: R.solve(x), dgks=False)
-        if np.sqrt(max(norm_sq, 0.0)) <= RESTART_RTOL * np.sqrt(norm0_sq):
+    b = np.asarray(b, dtype=float).ravel()
+    if not np.any(b):
+        b = A.apply(rng.standard_normal(A.cols))
+    if rank <= 0 or not np.any(b):  # b is still 0 only when A y is: A = 0
+        return Q.diagonal() / lam ** 2, 0
+    fact = gengk_init(A, R, Q, b, rank, reorthogonalize=True)
+    while fact.k < rank:
+        if fact.breakdown is None:
+            gengk_step(fact)
+        elif not gengk_restart(fact, rng, RESTART_RTOL):
             break
-    return out, k_total
+    return variance_diag(build_posterior_approx(fact, Q, lam)), fact.k
 
 
 def decoupled_variance_diag(plan, factorizations: dict, lam: float) -> np.ndarray:

@@ -4,9 +4,14 @@ import pytest
 from dyninv.linop import DenseOperator
 
 
+def random_orthogonal(rng, n):
+    """Random n x n orthogonal matrix: the Q factor of a Gaussian matrix."""
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
 def random_spd(rng, n, cond=100.0):
     """Random SPD matrix with condition number about ``cond``."""
-    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    U = random_orthogonal(rng, n)
     w = np.logspace(0, -np.log10(cond), n)
     return (U * w) @ U.T
 

@@ -253,8 +253,8 @@ def test_acceptance_gcv_machinery():
     # weighted GCV at w=1 reduces to plain GCV
     for _ in range(5):
         k = int(rng.integers(3, 25))
-        B = gengk.Bidiagonal(rng.uniform(0.1, 2.0, k),
-                             rng.uniform(0.1, 2.0, k)).to_dense()
+        alphas, betas = rng.uniform(0.1, 2.0, (2, k))
+        B = np.eye(k + 1, k) * alphas + np.eye(k + 1, k, -1) * betas
         beta1 = float(rng.uniform(0.5, 3.0))
         proj = hybrid.ProjectedProblem(B, beta1)
         for lam in np.logspace(-3, 2, 12):
@@ -268,7 +268,7 @@ def test_acceptance_gcv_machinery():
     s_true = rng.standard_normal(30)
     d = A @ s_true + 0.1 * rng.standard_normal(40)
     fact = gengk.gengk(*wrap(A, R, Q), d, k=15, reorthogonalize=True)
-    proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     s_max = proj.s[0]
     lam_search = hybrid.minimize_over_lambda(proj.gcv, s_max)
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 2000)
@@ -283,7 +283,7 @@ def test_acceptance_gcv_machinery():
     A, R, Q, _ = random_problem(rng, m, n)
     d = A @ rng.standard_normal(n) + 0.05 * rng.standard_normal(m)
     fact = gengk.gengk(*wrap(A, R, Q), d, k=n, reorthogonalize=True)
-    proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     s_max = proj.s[0]
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
     p = oracle.DenseProblem(A, R, Q, d, lam=1.0)
@@ -306,7 +306,7 @@ def _best_lambda_error(A, R, Q, d, s_true, k, tile=1):
     """Relative error at the best regularization parameter, from one
     factorization of depth k (the parameter sweep reuses the projected SVD)."""
     fact = gengk.gengk(A, R, Q, d, k=k, reorthogonalize=True)
-    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k).to_dense(), fact.beta1)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     best = np.inf
     for lam in np.logspace(-6, 3, 60) * proj.s[0]:

@@ -8,7 +8,7 @@ from dyninv.errors import DegenerateInputError
 from dyninv import gengk
 from dyninv.linop import DenseOperator, ScaledIdentityOperator, identity
 
-from conftest import random_problem, random_spd
+from conftest import random_orthogonal, random_problem, random_spd
 
 
 def wrap(A, R, Q):
@@ -151,8 +151,11 @@ def test_post_breakdown_relations_hold(rng):
 
 
 def test_bidiagonal_dense_structure():
-    B = gengk.Bidiagonal(np.array([1.0, 2.0]), np.array([3.0, 4.0])).to_dense()
-    npt.assert_allclose(B, [[1, 0], [3, 2], [0, 4]])
+    fact = gengk.GenGKFactorization(A=identity(2), R=identity(2), Q=identity(2),
+                                    b=np.ones(2), beta1=1.0, alphas=[1.0, 2.0, 5.0],
+                                    betas=[3.0, 4.0])
+    npt.assert_array_equal(fact.bidiagonal(), [[1, 0], [3, 2], [0, 4]])
+    npt.assert_array_equal(fact.bidiagonal(1), [[1], [3]])
 
 
 def test_diagnostics_csv(tmp_path, rng):
@@ -279,3 +282,72 @@ def test_cgs2_one_pass_for_a_random_vector(rng):
     # the norm after the pass, not the one before it
     assert y_sq == pytest.approx(y @ My, rel=1e-14)
     assert np.max(np.abs(W.T @ My)) / np.sqrt(y_sq) <= 1e-14
+
+
+def _assert_relations_hold(fact):
+    report = gengk.krylov_basis_span_check(fact)
+    for key in ("resid_b", "resid_AQV", "resid_AtRinvU", "orth_U", "orth_V"):
+        assert report[key] <= 1e-12, (key, report)
+
+
+def _assert_exhausted(fact):
+    # a restart on an exhausted side returns False and changes nothing
+    def state():
+        return (list(fact.alphas), list(fact.betas), fact.breakdown, fact._nu,
+                fact._nv, fact._U.copy(), fact._V.copy(), fact._QV.copy())
+
+    before = state()
+    assert not gengk.gengk_restart(fact, np.random.default_rng(1), 1e-8)
+    for old, new in zip(before, state()):
+        npt.assert_array_equal(old, new)
+
+
+def test_restart_after_a_beta_breakdown_keeps_the_relations(rng):
+    # b excites the first of two 4 x 4 blocks: beta_5 = 0 after 4 steps, and
+    # a restart starts u_5 in the second block
+    blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
+    A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
+               for X, Y in blocks)
+    R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
+    b = np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    fact = gengk.gengk(*wrap(A, R, Q), b, k=8, reorthogonalize=True)
+    assert (fact.k, fact.breakdown, fact.betas[-1]) == (4, 4, 0.0)
+    assert gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)
+    assert fact.breakdown is None and fact.alphas[4] > 0.0
+    while fact.breakdown is None and fact.k < 8:
+        gengk.gengk_step(fact)
+    assert fact.bidiagonal()[4, 3] == 0.0
+    _assert_relations_hold(fact)
+    # the eight u's fill the data space: the ninth breaks down, and no
+    # restart vector is left
+    assert (fact.k, fact.breakdown, fact.betas[-1]) == (8, 8, 0.0)
+    _assert_exhausted(fact)
+
+
+def test_restart_after_an_alpha_breakdown_keeps_the_relations(rng):
+    # A' R^{-1} b = 0 for a rank-3 A: alpha_1 = 0, and a restart supplies v_1
+    P1, P2 = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
+    A = P1 @ np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]) @ P2
+    R, Q = random_spd(rng, 6, cond=10), random_spd(rng, 6)
+    fact = gengk.gengk(*wrap(A, R, Q), R @ P1[:, 5], k=6, reorthogonalize=True)
+    assert (fact.k, fact.breakdown, fact.alphas) == (0, 0, [0.0])
+    assert gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)
+    assert fact.breakdown is None and fact.V_matrix(1).shape == (6, 1)
+    while fact.breakdown is None and fact.k < 6:
+        gengk.gengk_step(fact)
+    assert fact.bidiagonal()[0, 0] == 0.0
+    _assert_relations_hold(fact)
+    # v_1 .. v_3 span the range of A': alpha_4 breaks down, and A' y has
+    # nothing left outside it
+    assert (fact.k, fact.breakdown, fact.alphas[-1]) == (3, 3, 0.0)
+    _assert_exhausted(fact)
+
+
+def test_restart_refuses_a_running_or_unreorthogonalized_factorization():
+    ops = identity(2), identity(2), identity(2)
+    running = gengk.gengk(*ops, [3.0, 4.0], k=0, reorthogonalize=True)
+    unreorthogonalized = gengk.gengk(*ops, [3.0, 4.0], k=1)
+    assert running.breakdown is None and unreorthogonalized.breakdown == 1
+    for fact in (running, unreorthogonalized):
+        with pytest.raises(RuntimeError):
+            gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)

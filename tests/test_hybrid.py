@@ -36,7 +36,7 @@ def test_projected_matches_dense_normal_equations(rng):
     lam = 1.0
     fact = gengk.gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
                        reorthogonalize=True)
-    B = fact.bidiagonal().to_dense()
+    B = fact.bidiagonal()
     z = hybrid.ProjectedProblem(B, fact.beta1).solve(lam)
     s = fact.QV_matrix() @ z
     expected = np.linalg.solve(A.T @ A + lam ** 2 * np.eye(2), A.T @ b)
@@ -127,7 +127,7 @@ def test_optimal_error_matches_direct_evaluation(rng):
     for k in range(1, fact.k + 1):
         QV = fact.QV_matrix(k)
         error.extend(QV)  # one column at a time, as the solver does
-        proj = hybrid.ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+        proj = hybrid.ProjectedProblem(fact.bidiagonal(k), fact.beta1)
         grid = np.logspace(np.log10(1e-12 * proj.s[0]), np.log10(1e3 * proj.s[0]),
                            200)
         direct = [np.linalg.norm(mu + QV @ proj.solve(l) - s_true) for l in grid]
@@ -140,7 +140,7 @@ def test_optimal_selection_matches_direct_closure(rng):
     error = hybrid.OptimalError(mu - s_true, fact.k)
     error.extend(QV)
     for k in (1, 4, 9, fact.k):
-        proj = hybrid.ProjectedProblem(fact.bidiagonal(k).to_dense(), fact.beta1)
+        proj = hybrid.ProjectedProblem(fact.bidiagonal(k), fact.beta1)
 
         def direct(lam):
             # the error as the solver evaluated it before the Gram identity:
@@ -271,7 +271,7 @@ def test_select_lambda_optimal_self_consistent(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
     Aop, Rop, Qop = wrap(A, R, Q)
     fact = gengk.gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
-    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k).to_dense(), fact.beta1)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     s_target = QV @ proj.solve(1.0)
     error = hybrid.OptimalError(-s_target, fact.k)  # mu = 0
@@ -333,7 +333,7 @@ def test_shift_invariance(rng):
     A, R, Q, b = random_problem(rng, 25, 20)
     Aop, Rop, Qop = wrap(A, R, Q)
     fact = gengk.gengk(Aop, Rop, Qop, b, k=10, reorthogonalize=True)
-    proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
+    proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     prior = PriorModel.zero_mean(Qop)
     for lam in (0.3, 3.0):
         z = proj.solve(lam)
@@ -353,7 +353,7 @@ def test_monotone_data_fit(rng):
         gengk.gengk_step(fact)
         if fact.breakdown is not None:
             break
-        proj = hybrid.ProjectedProblem(fact.bidiagonal().to_dense(), fact.beta1)
+        proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
         misfits.append(proj.misfit(0.0))
     assert np.all(np.diff(misfits) <= 1e-10)
 

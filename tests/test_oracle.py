@@ -119,7 +119,7 @@ def test_gcv_full_vs_projected_at_full_rank(rng):
     d = A @ s_true + 0.05 * rng.standard_normal(m)
     fact = gengk.gengk(DenseOperator(A), DenseOperator(R), DenseOperator(Q), d,
                        k=n, reorthogonalize=True)
-    B = fact.bidiagonal().to_dense()
+    B = fact.bidiagonal()
     proj = hybrid.ProjectedProblem(B, fact.beta1)
     s_max = proj.s[0]
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)

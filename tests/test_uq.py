@@ -6,7 +6,7 @@ from dyninv.errors import ParameterError
 from dyninv import decoupled, gengk, hybrid, oracle, uq
 from dyninv.linop import DenseOperator, identity
 
-from conftest import random_problem, random_spd
+from conftest import random_orthogonal, random_problem, random_spd
 
 
 def wrap(A, R, Q):
@@ -127,18 +127,31 @@ def test_decoupled_variance_missing_factorization():
 
 
 def _restart_instances(rng):
-    """(A, R, Q, b) with full-rank A, rank-deficient A, and a block-diagonal
-    problem whose b excites one block only, so the first run breaks down
-    after half the dimension and a restart must supply the rest."""
+    """(A, R, Q, b) with full-rank A; rank-deficient A, also with b = 0 and
+    with A' R^{-1} b = 0, so the first breakdown is at initialization; A = 0
+    with b = 0; and a
+    block-diagonal problem whose b excites one block only, so the Krylov
+    space breaks down after half the dimension and a restart must supply the
+    rest, as it is and rotated by random orthogonal P1, P2 (A -> P1 A P2,
+    R -> P1 R P1', Q -> P2' Q P2, b -> P1 b), which removes its exact zeros."""
     A = rng.standard_normal((12, 12))
     yield A, random_spd(rng, 12), random_spd(rng, 12), rng.standard_normal(12)
     A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))
-    yield A, random_spd(rng, 6), random_spd(rng, 9), rng.standard_normal(6)
+    R, Q = random_spd(rng, 6), random_spd(rng, 9)
+    yield A, R, Q, rng.standard_normal(6)
+    yield A, R, Q, np.zeros(6)
+    yield A, R, Q, R @ np.linalg.svd(A)[0][:, 4]
+    yield np.zeros((6, 9)), R, Q, np.zeros(6)
     blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
     A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
                for X, Y in blocks)
     R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
-    yield A, R, Q, np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    b = np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    yield A, R, Q, b
+    for seed in range(20):
+        rot = np.random.default_rng(seed)
+        P1, P2 = random_orthogonal(rot, 8), random_orthogonal(rot, 8)
+        yield P1 @ A @ P2, P1 @ R @ P1.T, P2.T @ Q @ P2, P1 @ b
 
 
 def test_restarted_variance_matches_dense_up_to_twice_the_dimension():
