@@ -28,6 +28,11 @@ from .linop import LinearOperator
 # on the units of b.
 BREAKDOWN_RTOL = 1e-14
 
+# A restart vector that orthogonalization against the basis shrinks to this
+# fraction of its weighted norm or below lies in its span up to rounding:
+# that side of the factorization is exhausted.
+RESTART_RTOL = 1e-8
+
 
 @dataclass
 class GenGKFactorization:
@@ -250,8 +255,7 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     return fact
 
 
-def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator,
-                  rtol: float) -> bool:
+def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
     """Fill the vector that a breakdown left missing, so that stepping can go on.
 
     A missing u (beta breakdown) becomes A y, and a missing v (alpha
@@ -259,7 +263,7 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator,
     the zero stays in B, so the gen-GK relations keep holding.  A new u is
     followed by its v and alpha as in a step, and that alpha may break down
     again.  Returns False, storing nothing, when the new vector keeps at most
-    ``rtol`` of its weighted norm: that side is exhausted.  The restart's
+    ``RESTART_RTOL`` of its weighted norm: that side is exhausted.  Its
     Gram-Schmidt passes are not counted in ``reorth_passes``.
     """
     if fact.breakdown is None or not fact.reorthogonalize:
@@ -268,14 +272,15 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator,
     if fact._nv == len(fact.alphas):
         u = A.apply(rng.standard_normal(A.cols))
         Rinv_u = fact.R.solve(u)
-        tol = rtol * np.sqrt(_weighted_norm_sq(u, Rinv_u))
+        tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u))
         norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol)
         if norm:
             _append_next_v(fact, Rinv_u / norm, 0.0)
         return bool(norm)
     v = A.apply_adjoint(rng.standard_normal(A.rows))
     Qv = fact.Q.apply(v)
-    if not _append_v(fact, v, Qv, rtol * np.sqrt(_weighted_norm_sq(v, Qv)))[0]:
+    tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv))
+    if not _append_v(fact, v, Qv, tol)[0]:
         return False
     fact.breakdown = None
     return True

@@ -20,14 +20,10 @@ from .errors import ParameterError
 from .gengk import GenGKFactorization, gengk_init, gengk_restart, gengk_step
 from .linop import LinearOperator
 
-# Ritz values below this (relative to the largest) are dropped: they contribute
-# negligibly and destabilize the lam^2/theta ratios.
+# A Ritz value at or below this fraction of lam^2 is dropped, whatever the
+# others are: its downdate takes at most theta / (theta + lam^2) of the prior
+# variance along its direction.
 THETA_RTOL = 1e-12
-
-# A restart vector that orthogonalization against the basis shrinks below
-# this fraction of its weighted norm lies in its span up to rounding: that
-# side of the range of A is exhausted.
-RESTART_RTOL = 1e-8
 
 
 @dataclass
@@ -69,7 +65,7 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     # eigendecomposition of B'B from the SVD of B avoids squaring conditioning
     _, s, Vt = sla.svd(B, full_matrices=False)
     thetas = s ** 2
-    keep = thetas > THETA_RTOL * (thetas[0] if thetas.size else 0.0)
+    keep = thetas > THETA_RTOL * lam ** 2
     thetas = thetas[keep]
     W = Vt.T[:, keep]
     Z = fact.QV_matrix(k) @ W
@@ -107,7 +103,7 @@ def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
     while fact.k < rank:
         if fact.breakdown is None:
             gengk_step(fact)
-        elif not gengk_restart(fact, rng, RESTART_RTOL):
+        elif not gengk_restart(fact, rng):
             break
     return variance_diag(build_posterior_approx(fact, Q, lam)), fact.k
 

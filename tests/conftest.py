@@ -16,6 +16,16 @@ def random_spd(rng, n, cond=100.0):
     return (U * w) @ U.T
 
 
+def block_restart_instance(rng):
+    """(A, R, Q, b) 8 x 8 of two 4 x 4 diagonal blocks, with b in the first
+    block only: the Krylov space breaks down after 4 steps, with beta_5 = 0."""
+    blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
+    A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
+               for X, Y in blocks)
+    R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
+    return A, R, Q, np.concatenate([rng.standard_normal(4), np.zeros(4)])
+
+
 def random_problem(rng, m, n, cond=100.0):
     """Random (A, R, Q, b) tuple with dense SPD weights."""
     A = rng.standard_normal((m, n))

@@ -8,7 +8,8 @@ from dyninv.errors import DegenerateInputError
 from dyninv import gengk
 from dyninv.linop import DenseOperator, ScaledIdentityOperator, identity
 
-from conftest import random_orthogonal, random_problem, random_spd
+from conftest import (block_restart_instance, random_orthogonal, random_problem,
+                      random_spd)
 
 
 def wrap(A, R, Q):
@@ -297,7 +298,7 @@ def _assert_exhausted(fact):
                 fact._nv, fact._U.copy(), fact._V.copy(), fact._QV.copy())
 
     before = state()
-    assert not gengk.gengk_restart(fact, np.random.default_rng(1), 1e-8)
+    assert not gengk.gengk_restart(fact, np.random.default_rng(1))
     for old, new in zip(before, state()):
         npt.assert_array_equal(old, new)
 
@@ -305,14 +306,10 @@ def _assert_exhausted(fact):
 def test_restart_after_a_beta_breakdown_keeps_the_relations(rng):
     # b excites the first of two 4 x 4 blocks: beta_5 = 0 after 4 steps, and
     # a restart starts u_5 in the second block
-    blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
-    A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
-               for X, Y in blocks)
-    R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
-    b = np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    A, R, Q, b = block_restart_instance(rng)
     fact = gengk.gengk(*wrap(A, R, Q), b, k=8, reorthogonalize=True)
     assert (fact.k, fact.breakdown, fact.betas[-1]) == (4, 4, 0.0)
-    assert gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)
+    assert gengk.gengk_restart(fact, np.random.default_rng(0))
     assert fact.breakdown is None and fact.alphas[4] > 0.0
     while fact.breakdown is None and fact.k < 8:
         gengk.gengk_step(fact)
@@ -331,7 +328,7 @@ def test_restart_after_an_alpha_breakdown_keeps_the_relations(rng):
     R, Q = random_spd(rng, 6, cond=10), random_spd(rng, 6)
     fact = gengk.gengk(*wrap(A, R, Q), R @ P1[:, 5], k=6, reorthogonalize=True)
     assert (fact.k, fact.breakdown, fact.alphas) == (0, 0, [0.0])
-    assert gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)
+    assert gengk.gengk_restart(fact, np.random.default_rng(0))
     assert fact.breakdown is None and fact.V_matrix(1).shape == (6, 1)
     while fact.breakdown is None and fact.k < 6:
         gengk.gengk_step(fact)
@@ -350,4 +347,4 @@ def test_restart_refuses_a_running_or_unreorthogonalized_factorization():
     assert running.breakdown is None and unreorthogonalized.breakdown == 1
     for fact in (running, unreorthogonalized):
         with pytest.raises(RuntimeError):
-            gengk.gengk_restart(fact, np.random.default_rng(0), 1e-8)
+            gengk.gengk_restart(fact, np.random.default_rng(0))

@@ -6,7 +6,8 @@ from dyninv.errors import ParameterError
 from dyninv import decoupled, gengk, hybrid, oracle, uq
 from dyninv.linop import DenseOperator, identity
 
-from conftest import random_orthogonal, random_problem, random_spd
+from conftest import (block_restart_instance, random_orthogonal, random_problem,
+                      random_spd)
 
 
 def wrap(A, R, Q):
@@ -142,11 +143,7 @@ def _restart_instances(rng):
     yield A, R, Q, np.zeros(6)
     yield A, R, Q, R @ np.linalg.svd(A)[0][:, 4]
     yield np.zeros((6, 9)), R, Q, np.zeros(6)
-    blocks = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
-    A, R, Q = (np.block([[X, np.zeros((4, 4))], [np.zeros((4, 4)), Y]])
-               for X, Y in blocks)
-    R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
-    b = np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    A, R, Q, b = block_restart_instance(rng)
     yield A, R, Q, b
     for seed in range(20):
         rot = np.random.default_rng(seed)
@@ -168,3 +165,21 @@ def test_restarted_variance_matches_dense_up_to_twice_the_dimension():
             assert k <= n, (A.shape, rank, k)
             assert np.all(var >= 0), (A.shape, rank, var.min())
             npt.assert_allclose(var, exact, rtol=1e-10, atol=0)
+
+
+def test_restarted_variance_keeps_a_block_far_below_the_first():
+    # the second block's singular values are 1e-7 of the first's, so the
+    # restart's Ritz values are below 1e-14 of the largest; at lam of their
+    # size the posterior variance there is 0.09 to 0.71 of the prior
+    A, R, Q, b = block_restart_instance(np.random.default_rng(7))
+    A[4:, 4:] *= 1e-7
+    lam = 1e-7
+    exact = np.diag(oracle.dense_posterior(oracle.DenseProblem(A, R, Q, b, lam=lam)))
+    var, k = uq.restarted_variance_diag(
+        DenseOperator(A), DenseOperator(R), DenseOperator(Q), b, lam, 8)
+    assert k == 8
+    npt.assert_allclose(var[4:], exact[4:], rtol=1e-10, atol=0)
+    # in the first block the posterior variance is 1e-14 of the prior, so the
+    # downdate keeps its accuracy relative to the prior only
+    prior = np.diag(Q) / lam ** 2
+    assert np.all(np.abs(var - exact)[:4] <= 1e-12 * prior[:4])
