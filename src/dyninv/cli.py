@@ -25,8 +25,7 @@ import numpy as np
 from . import decoupled, hybrid, io as dio, oracle, priorcov, problems, uq
 from .errors import (BudgetExceededError, ConditioningError, DegenerateInputError,
                      ParameterError, ShapeError)
-from .linop import (DenseOperator, KroneckerOperator, LinearOperator,
-                    ScaledIdentityOperator, identity)
+from .linop import KroneckerOperator, identity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -218,22 +217,6 @@ def build_options(cfg: RunConfig, inst: problems.ProblemInstance) -> hybrid.Solv
     )
 
 
-def _decoupled_pieces(cfg: RunConfig, inst, prior):
-    """Validate the full-Kronecker requirement and split operators into factors."""
-    A = inst.A
-    Q = prior.Q
-    if not isinstance(A, KroneckerOperator):
-        raise ParameterError("decoupled solver requires a Kronecker forward operator")
-    if not isinstance(Q, KroneckerOperator):
-        raise ParameterError("decoupled solver requires a Kronecker prior covariance")
-    if not isinstance(inst.R, ScaledIdentityOperator):
-        raise ParameterError("decoupled solver requires scaled-identity noise here")
-    m_bar = A.right.rows
-    Rt = np.eye(inst.n_t)
-    Rs = ScaledIdentityOperator(inst.R.scale, m_bar)
-    return A.left, A.right, Rt, Rs, Q.left, Q.right
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -274,7 +257,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         stop = res.stop_reason
         res.write_convergence_csv(os.path.join(outdir, "convergence.csv"))
     elif method == "decoupled":
-        At, As, Rt, Rs, Qt, Qs = _decoupled_pieces(cfg, inst, prior)
+        At, As, Rt, Rs, Qt, Qs = decoupled.kronecker_factors(inst, prior)
         per_time = cfg.get("solver", "per_time_lambda", False, bool)
         dres = decoupled.decoupled_solve(
             At, As, Rt, Rs, Qt, Qs, inst.d, strategy, options, mu=prior.mean,

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 from .errors import ConditioningError, ParameterError, ShapeError
 from . import hybrid
 from .linop import (DenseOperator, KroneckerOperator, LinearOperator, ScaledOperator,
-                    aslinearoperator)
+                    ScaledIdentityOperator, aslinearoperator)
 from .priorcov import PriorModel
 
 # singular values below this (relative to the largest) are treated as zero
@@ -89,6 +89,25 @@ class DecoupledResult:
     @property
     def per_time_iters(self) -> list:
         return [0 if r is None else r.iterations for r in self.sub_results]
+
+
+def kronecker_factors(inst, prior: PriorModel):
+    """Split a problem instance and its prior into the factors
+    (A_t, A_s, R_t, R_s, Q_t, Q_s) of the decoupled solver.
+
+    A and Q must be ``KroneckerOperator``s and R a ``ScaledIdentityOperator``
+    sigma^2 I, which splits as R_t = I and R_s = sigma^2 I; anything else
+    raises ``ParameterError``.
+    """
+    A, Q = inst.A, prior.Q
+    if not isinstance(A, KroneckerOperator):
+        raise ParameterError("decoupled solver requires a Kronecker forward operator")
+    if not isinstance(Q, KroneckerOperator):
+        raise ParameterError("decoupled solver requires a Kronecker prior covariance")
+    if not isinstance(inst.R, ScaledIdentityOperator):
+        raise ParameterError("decoupled solver requires scaled-identity noise")
+    Rs = ScaledIdentityOperator(inst.R.scale, A.right.rows)
+    return A.left, A.right, np.eye(inst.n_t), Rs, Q.left, Q.right
 
 
 def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ParameterError
 from . import gengk as gk
@@ -25,11 +24,18 @@ from .priorcov import PriorModel
 LAMBDA_LO_FACTOR = 1e-12
 LAMBDA_HI_FACTOR = 1e3
 LAMBDA_GRID_POINTS = 200
-# zoom rounds after the grid; each one narrows the log-lambda spacing by
-# (LAMBDA_ZOOM_POINTS - 1) / 2, so 14 rounds of 17 points take the grid's
-# spacing of 0.17 down to about 4e-14
+# at most this many zoom rounds follow the grid; each one narrows the
+# log-lambda spacing by (LAMBDA_ZOOM_POINTS - 1) / 2, so 14 rounds of 17
+# points take the grid's spacing of 0.17 down to about 4e-14.  The search
+# stops early at the first round (the grid included) whose values all lie
+# within LAMBDA_FLAT_RTOL of its minimum: later rounds could only move lambda
+# inside a cell where the objective is flat to rounding.
 LAMBDA_ZOOM_ROUNDS = 14
 LAMBDA_ZOOM_POINTS = 17
+LAMBDA_FLAT_RTOL = 16 * np.finfo(float).eps
+# point indices of a grid and of a zoom round, as np.linspace spaces them
+_GRID_STEPS = np.arange(LAMBDA_GRID_POINTS, dtype=float)
+_ZOOM_STEPS = np.arange(LAMBDA_ZOOM_POINTS, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -84,40 +90,44 @@ class ProjectedProblem:
     c: np.ndarray = field(init=False)  # components of beta1*e1 in the left singular basis
 
     def __post_init__(self):
-        self.U, self.s, self.Vt = sla.svd(self.B, full_matrices=True)
+        self.U, self.s, self.Vt = np.linalg.svd(self.B, full_matrices=True)
         self.c = self.beta1 * self.U[0, :]
         s = self.s
         self._s2 = s ** 2
-        self._c_head = self.c[: s.size]
+        self._c2_head = self.c[: s.size] ** 2
         self._c_tail_sq = float(np.sum(self.c[s.size:] ** 2))
         # singular values kept by the unregularized (lambda = 0) solution
         cutoff = s[0] * np.finfo(float).eps * max(self.B.shape) if s.size else 0.0
         self._kept = s > cutoff
-        self._c_over_s = np.divide(self._c_head, s, out=np.zeros_like(s), where=s > 0)
+        self._dropped = ~self._kept
+        self._c_over_s = np.divide(self.c[: s.size], s, out=np.zeros_like(s),
+                                   where=s > 0)
 
     @property
     def k(self) -> int:
         return self.B.shape[1]
 
-    def _filters(self, lam):
-        """Filter factors (phi, 1 - phi) of each lambda, one row per lambda.
-
-        phi = s^2 / (s^2 + lam^2) and 1 - phi = lam^2 / (s^2 + lam^2), each
-        formed without cancellation; at lam = 0, phi is 1 on the kept
-        singular values and 0 on the dropped ones.
-        """
+    def _lam2(self, lam):
+        """lam^2 as a column, where it is zero, and the filter denominator
+        s^2 + lam^2 with 1 in place of a zero lam^2 (one row per lambda)."""
         lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
         zero = lam2 == 0
-        if not zero.any():
-            denom = self._s2 + lam2
-            return self._s2 / denom, lam2 / denom
-        denom = self._s2 + np.where(zero, 1.0, lam2)
-        phi = np.where(zero, self._kept, self._s2 / denom)
-        return phi, np.where(zero, ~self._kept, lam2 / denom)
+        return lam2, zero, self._s2 + np.where(zero, 1.0, lam2)
+
+    def _psi(self, lam):
+        """1 - phi = lam^2 / (s^2 + lam^2), one row per lambda; at lam = 0 it
+        is 1 on the dropped singular values and 0 on the kept ones."""
+        lam2, zero, denom = self._lam2(lam)
+        return np.where(zero, self._dropped, lam2 / denom)
 
     def coefficients(self, lam) -> np.ndarray:
-        """Coefficients f of z(lam) = Vt' f, one row per lambda."""
-        return self._filters(lam)[0] * self._c_over_s
+        """Coefficients f of z(lam) = Vt' f, one row per lambda.
+
+        The filter phi = s^2 / (s^2 + lam^2) is formed without cancellation;
+        at lam = 0 it is 1 on the kept singular values and 0 on the dropped.
+        """
+        lam2, zero, denom = self._lam2(lam)
+        return np.where(zero, self._kept, self._s2 / denom) * self._c_over_s
 
     def solve(self, lam: float) -> np.ndarray:
         """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2.
@@ -128,17 +138,18 @@ class ProjectedProblem:
         return self.Vt.T @ self.coefficients(lam)
 
     def _residual_sq(self, psi):
-        return ((psi * self._c_head) ** 2).sum(axis=-1) + self._c_tail_sq
+        return psi ** 2 @ self._c2_head + self._c_tail_sq
 
     def misfit(self, lam):
         """||B z(lam) - beta1 e1||_2 for one lambda or an array of them."""
-        return np.sqrt(self._residual_sq(self._filters(lam)[1]))
+        return np.sqrt(self._residual_sq(self._psi(lam)))
 
     def gcv(self, lam, w: float = 1.0):
         """(Weighted) GCV value of the projected problem, for one lambda or
         an array of them."""
-        phi, psi = self._filters(lam)
-        denom = (self.k + 1) - w * phi.sum(axis=-1)
+        psi = self._psi(lam)
+        # the trace term sum(phi) is k - sum(psi), at lam = 0 too
+        denom = (self.k + 1) - w * (self.k - psi.sum(axis=-1))
         return self.k * self._residual_sq(psi) / denom ** 2
 
 
@@ -196,23 +207,30 @@ def minimize_over_lambda(f, s_max: float) -> float:
     ``f`` takes an array of lambdas and returns one value per lambda.  Each
     round evaluates it once, on a log grid: first LAMBDA_GRID_POINTS points
     over the whole window, then LAMBDA_ZOOM_POINTS points between the two
-    neighbours of the previous round's minimizer.  The result is the best
+    neighbours of the previous round's minimizer.  The search stops after the
+    first round whose values all lie within LAMBDA_FLAT_RTOL of that round's
+    minimum, or after LAMBDA_ZOOM_ROUNDS zoom rounds.  The result is the best
     lambda seen; ties resolve to the smallest minimizing lambda.
     """
     if s_max <= 0:
         return 0.0
     a, b = np.log(LAMBDA_LO_FACTOR * s_max), np.log(LAMBDA_HI_FACTOR * s_max)
-    n = LAMBDA_GRID_POINTS
+    steps = _GRID_STEPS
     best_lam, best_val = 0.0, np.inf
     for _ in range(1 + LAMBDA_ZOOM_ROUNDS):
-        x = np.linspace(a, b, n)
-        vals = f(np.exp(x))
+        n = steps.size
+        x = steps * ((b - a) / (n - 1)) + a
+        x[-1] = b  # the exact endpoint, as np.linspace sets it
+        lam = np.exp(x)
+        vals = f(lam)
         i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
         # <= moves an equal value to the smaller lambda a later round found
         if vals[i] <= best_val:
-            best_lam, best_val = float(np.exp(x[i])), vals[i]
+            best_lam, best_val = float(lam[i]), vals[i]
+        if vals.max() - vals[i] <= LAMBDA_FLAT_RTOL * abs(vals[i]):
+            break
         a, b = x[max(i - 1, 0)], x[min(i + 1, n - 1)]
-        n = LAMBDA_ZOOM_POINTS
+        steps = _ZOOM_STEPS
     return best_lam
 
 

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import hashlib
 import os
 
@@ -7,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from dyninv import cli, io as dio
+from dyninv.linop import DenseOperator
 
 
 def write_config(path, sections):
@@ -96,7 +98,7 @@ def test_solve_identity_toy(tmp_path):
     npt.assert_allclose(s, inst.d / 2.0, rtol=1e-10)
 
 
-def test_decoupled_requires_kronecker(tmp_path):
+def test_decoupled_requires_kronecker(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini", {
         "problem": {"generator": "tomography", "nx": "8", "ny": "8",
                     "n_t": "2", "rays_per_time": "20", "seed": "1"},
@@ -106,6 +108,30 @@ def test_decoupled_requires_kronecker(tmp_path):
         "output": {"dir": str(tmp_path / "o")},
     })
     assert cli.main(["solve", "--config", cfg]) == 2
+    assert "Kronecker forward operator" in capsys.readouterr().err
+
+
+def test_decoupled_requires_kronecker_prior(tmp_path, deblur_config, capsys):
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled", "--prior.structure=nonseparable",
+                     f"--output.dir={tmp_path / 'dec'}"]) == 2
+    assert "Kronecker prior covariance" in capsys.readouterr().err
+
+
+def test_decoupled_requires_scaled_identity_noise(tmp_path, deblur_config, capsys,
+                                                  monkeypatch):
+    # no generator makes any other R, so hand the solve a dense copy of it
+    load = cli.load_problem
+
+    def dense_noise(cfg):
+        inst = load(cfg)
+        return dataclasses.replace(inst, R=DenseOperator(inst.R.to_dense()))
+
+    monkeypatch.setattr(cli, "load_problem", dense_noise)
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled",
+                     f"--output.dir={tmp_path / 'dec'}"]) == 2
+    assert "scaled-identity noise" in capsys.readouterr().err
 
 
 def test_solve_from_saved_tomography_matches_generator(tmp_path):

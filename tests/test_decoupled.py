@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from dyninv.errors import ParameterError, ShapeError
-from dyninv import decoupled, hybrid, oracle
+from dyninv import decoupled, hybrid, oracle, problems
 from dyninv.linop import DenseOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
 
@@ -20,6 +20,17 @@ def kron_instance(rng, n_s=9, n_t=3, m_bar=None):
     Qs = random_spd(rng, n_s, cond=10)
     d = rng.standard_normal(m_bar * n_t)
     return At, As, Rt, Rs, Qt, Qs, d
+
+
+def test_kronecker_factors_rebuild_the_operators(rng):
+    inst = problems.gen_dynamic_deblur(5, 4, 4, seed=0)
+    Q = KroneckerOperator(DenseOperator(random_spd(rng, 4)),
+                          DenseOperator(random_spd(rng, 20)))
+    At, As, Rt, Rs, Qt, Qs = decoupled.kronecker_factors(
+        inst, PriorModel.zero_mean(Q))
+    npt.assert_array_equal(np.kron(At.to_dense(), As.to_dense()), inst.A.to_dense())
+    npt.assert_array_equal(np.kron(Rt, Rs.to_dense()), inst.R.to_dense())
+    npt.assert_array_equal(np.kron(Qt.to_dense(), Qs.to_dense()), Q.to_dense())
 
 
 def test_plan_identity_factors():

@@ -76,24 +76,72 @@ def test_wgcv_w1_equals_gcv(rng):
             proj.gcv(lam), abs=1e-14, rel=1e-14)
 
 
-def test_lambda_zero_misfit_and_gcv_agree_with_solve():
-    # s_2 = 1e-17 lies below the cutoff s_1 eps max(B.shape), so solve(0)
-    # drops it; misfit(0) and gcv(0) must treat it as unfitted too
+def _rank_deficient_bidiagonal():
+    """(H B, beta1): s_2 = 1e-17 lies below the lambda = 0 cutoff
+    s_1 eps max(B.shape), and beta1 e1 has the components c = (1, 1, 0.5) in
+    the left singular basis H."""
     B = np.array([[1.0, 0.0], [0.0, 1e-17], [0.0, 0.0]])
     c = np.array([1.0, 1.0, 0.5])
     beta1 = np.linalg.norm(c)
-    # Householder reflector with H e1 = c / beta1: beta1 e1 then has the
-    # components c in the left singular basis H of H B
+    # Householder reflector with H e1 = c / beta1
     u = c / beta1 - np.eye(3)[0]
     H = np.eye(3) - 2.0 * np.outer(u, u) / (u @ u)
-    proj = hybrid.ProjectedProblem(H @ B, beta1)
+    return H @ B, beta1
+
+
+def test_lambda_zero_misfit_and_gcv_agree_with_solve():
+    # solve(0) drops s_2 = 1e-17; misfit(0) and gcv(0) must treat it as
+    # unfitted too
+    HB, beta1 = _rank_deficient_bidiagonal()
+    proj = hybrid.ProjectedProblem(HB, beta1)
     z = proj.solve(0.0)
     npt.assert_allclose(np.abs(z), [1.0, 0.0], atol=1e-12)
-    resid = np.linalg.norm(H @ B @ z - beta1 * np.eye(3)[0])
+    resid = np.linalg.norm(HB @ z - beta1 * np.eye(3)[0])
     assert resid == pytest.approx(np.sqrt(1.0 + 0.25), rel=1e-12)
     assert proj.misfit(0.0) == pytest.approx(resid, rel=1e-12)
     # one fitted singular value: G = k * r^2 / (k + 1 - 1)^2
     assert proj.gcv(0.0) == pytest.approx(2 * resid ** 2 / 4.0, rel=1e-12)
+
+
+def _filter_reference(proj, lam, w):
+    """GCV and misfit written out from both filters, each formed directly:
+    phi = s^2 / (s^2 + lam^2) in the trace and psi = lam^2 / (s^2 + lam^2) in
+    the residual; at lam = 0, phi is 1 on the singular values above
+    s_max eps max(B.shape) and psi is 1 - phi."""
+    s, c, k = proj.s, proj.c, proj.k
+    kept = s > s[0] * np.finfo(float).eps * max(proj.B.shape)
+    gcv, misfit = [], []
+    for l in lam:
+        if l == 0:
+            phi = kept.astype(float)
+            psi = 1.0 - phi
+        else:
+            phi = s ** 2 / (s ** 2 + l ** 2)
+            psi = l ** 2 / (s ** 2 + l ** 2)
+        r2 = np.sum((psi * c[:k]) ** 2) + np.sum(c[k:] ** 2)
+        misfit.append(np.sqrt(r2))
+        gcv.append(k * r2 / (k + 1 - w * np.sum(phi)) ** 2)
+    return np.array(gcv), np.array(misfit)
+
+
+def test_gcv_and_misfit_match_the_two_filter_formula(rng):
+    # gcv and misfit use psi alone, with sum(phi) = k - sum(psi)
+    cases = [(rng.standard_normal((k + 1, k)), float(rng.random() + 0.5))
+             for k in (1, 2, 5, 12, 40, 81)]
+    cases.append(_rank_deficient_bidiagonal())
+    # beta1 e1 in the range of B: the residual at lam = 0 is exactly zero
+    cases.append((np.array([[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), 3.0))
+    for B, beta1 in cases:
+        proj = hybrid.ProjectedProblem(B, beta1)
+        s_max = proj.s[0]
+        lam = np.concatenate([[0.0], np.logspace(np.log10(1e-12 * s_max),
+                                                 np.log10(1e3 * s_max), 200)])
+        for w in (1.0, 0.8):
+            gcv, misfit = _filter_reference(proj, lam, w)
+            for got, ref in ((proj.gcv(lam, w), gcv), (proj.misfit(lam), misfit)):
+                # relative, or absolute where the reference is zero
+                scale = np.where(ref == 0, 1.0, np.abs(ref))
+                assert np.max(np.abs(got - ref) / scale) <= 1e-13
 
 
 def test_array_gcv_and_misfit_match_scalar_loop(rng):
@@ -265,6 +313,24 @@ def test_search_does_no_worse_than_golden_section(seed, monkeypatch):
 def test_search_edge_cases(f, s_max, expected):
     assert hybrid.minimize_over_lambda(f, s_max) == pytest.approx(
         expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("f, s_max, calls", [
+    # flat on the grid: no zoom round can improve on it
+    (np.ones_like, 2.0, 1),
+    # the plateau's left edge needs every round to reach 1e-12 in lambda
+    (lambda lam: np.maximum(np.abs(np.log(lam)), 2.0), 1.0,
+     1 + hybrid.LAMBDA_ZOOM_ROUNDS),
+], ids=["constant", "plateau"])
+def test_search_stops_at_the_first_flat_round(f, s_max, calls):
+    counted = []
+
+    def counting(lam):
+        counted.append(lam.size)
+        return f(lam)
+
+    hybrid.minimize_over_lambda(counting, s_max)
+    assert len(counted) == calls
 
 
 def test_select_lambda_optimal_self_consistent(rng):
