@@ -50,7 +50,6 @@ class DecoupledPlan:
     R_s: LinearOperator
     Qt: np.ndarray
     Lt: np.ndarray              # upper-triangular, Q_t = Lt.T @ Lt
-    Rt_inv_sqrt: np.ndarray
     Ut: np.ndarray
     sigmas: np.ndarray
     Vt: np.ndarray
@@ -144,9 +143,8 @@ def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
     Bmat = b.reshape(m_bar, At.shape[0], order="F")
     D = Bmat @ Rt_inv_sqrt
 
-    return DecoupledPlan(A_s=A_s, Q_s=Q_s, R_s=R_s, Qt=Qt, Lt=Lt,
-                         Rt_inv_sqrt=Rt_inv_sqrt, Ut=Ut, sigmas=sig, Vt=Vt,
-                         D=D, mu=mu)
+    return DecoupledPlan(A_s=A_s, Q_s=Q_s, R_s=R_s, Qt=Qt, Lt=Lt, Ut=Ut,
+                         sigmas=sig, Vt=Vt, D=D, mu=mu)
 
 
 def solve_subproblem(plan: DecoupledPlan, i: int, strategy,

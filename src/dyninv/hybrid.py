@@ -84,14 +84,13 @@ class ProjectedProblem:
 
     B: np.ndarray
     beta1: float
-    U: np.ndarray = field(init=False)
     s: np.ndarray = field(init=False)
     Vt: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)  # components of beta1*e1 in the left singular basis
 
     def __post_init__(self):
-        self.U, self.s, self.Vt = np.linalg.svd(self.B, full_matrices=True)
-        self.c = self.beta1 * self.U[0, :]
+        U, self.s, self.Vt = np.linalg.svd(self.B, full_matrices=True)
+        self.c = self.beta1 * U[0, :]
         s = self.s
         self._s2 = s ** 2
         self._c2_head = self.c[: s.size] ** 2
@@ -294,7 +293,6 @@ class Iteration:
 class SolverResult:
     s: np.ndarray
     x: np.ndarray
-    z: np.ndarray
     lam: float
     history: list              # one Iteration per iteration
     stop_reason: str
@@ -409,5 +407,5 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         x = np.zeros(A.cols)
         s = mu.copy()
 
-    return SolverResult(s=s, x=x, z=z, lam=lam, history=history,
+    return SolverResult(s=s, x=x, lam=lam, history=history,
                         stop_reason=stop_reason, factorization=fact)

@@ -2,10 +2,10 @@
 
 Every solver in this package consumes operators only through forward and
 adjoint application plus shape queries.  Concrete operator types cover dense
-matrices, sparse matrices, diagonals, scaled identities, Kronecker products,
-sums of Kronecker products, and scalings.  A block-diagonal
-forward model is one sparse matrix (``scipy.sparse.block_diag``), or a
-Kronecker product with an identity when its blocks repeat.
+matrices, sparse matrices, diagonals, scaled identities, Kronecker products
+and scalings.  A block-diagonal forward model is one sparse matrix
+(``scipy.sparse.block_diag``), or a Kronecker product with an identity when
+its blocks repeat.
 
 The public methods of :class:`LinearOperator` check shapes (and the
 densification budget) once; concrete types implement private hooks only.
@@ -308,48 +308,6 @@ class KroneckerOperator(LinearOperator):
 
     def _to_dense(self, budget):
         return np.kron(self.left.to_dense(budget), self.right.to_dense(budget))
-
-
-class SumKroneckerOperator(LinearOperator):
-    """Coefficient-weighted sum of Kronecker products with a common shape."""
-
-    def __init__(self, terms):
-        terms = [(float(c), l, r) for (c, l, r) in terms]
-        if not terms:
-            raise ParameterError("sum of Kronecker products requires at least one term")
-        shapes = {
-            (l.rows * r.rows, l.cols * r.cols) for (_, l, r) in terms
-        }
-        if len(shapes) != 1:
-            raise ShapeError(f"Kronecker terms have inconsistent shapes: {shapes}")
-        rows, cols = shapes.pop()
-        super().__init__(rows, cols)
-        self.terms = terms
-        self._kron = [KroneckerOperator(l, r) for (_, l, r) in terms]
-
-    def _matvec(self, v):
-        out = np.zeros(self._rows)
-        for (c, _, _), K in zip(self.terms, self._kron):
-            out += c * K._matvec(v)
-        return out
-
-    def _rmatvec(self, v):
-        out = np.zeros(self._cols)
-        for (c, _, _), K in zip(self.terms, self._kron):
-            out += c * K._rmatvec(v)
-        return out
-
-    def _diagonal(self):
-        out = np.zeros(self._rows)
-        for (c, _, _), K in zip(self.terms, self._kron):
-            out += c * K.diagonal()
-        return out
-
-    def _to_dense(self, budget):
-        out = np.zeros(self.shape)
-        for (c, _, _), K in zip(self.terms, self._kron):
-            out += c * K.to_dense(budget)
-        return out
 
 
 class ScaledOperator(LinearOperator):

@@ -2,8 +2,7 @@
 
 Builds spatial/temporal/space-time covariance operators from stationary
 kernels evaluated on point sets, plus the structured temporal models
-(random-walk "minij" covariance, finite-difference smoothness prior, and the
-Tikhonov-in-space / smoothness-in-time Kronecker form).
+(random-walk "minij" covariance and finite-difference smoothness prior).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import scipy.special as special
 from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
-from .linop import DenseOperator, KroneckerOperator, ScaledIdentityOperator, LinearOperator
+from .linop import DenseOperator, LinearOperator
 
 DEFAULT_NUGGET = 1e-10
 # Above this smoothness the kernel is numerically Gaussian; switch to the limit.
@@ -202,24 +201,6 @@ def build_fd_temporal(t, gamma: float):
     return DenseOperator(L), DenseOperator(Q)
 
 
-def build_schmitt_prior(lambda_s: float, lambda_t: float, L_t, n_s: int) -> KroneckerOperator:
-    """Temporal-smoothness / spatial-Tikhonov prior as a Kronecker covariance.
-
-    Q = Q_t (x) Q_s with Q_t = (I + (lambda_t/lambda_s)^2 L_t.T L_t)^{-1}
-    and Q_s = lambda_s^{-2} I.
-    """
-    if lambda_s <= 0:
-        raise ParameterError("lambda_s must be positive")
-    if lambda_t < 0:
-        raise ParameterError("lambda_t must be nonnegative")
-    L = L_t.to_dense() if isinstance(L_t, LinearOperator) else np.asarray(L_t, dtype=float)
-    n_t = L.shape[1]
-    Qt = sla.inv(np.eye(n_t) + (lambda_t / lambda_s) ** 2 * (L.T @ L))
-    Qt = 0.5 * (Qt + Qt.T)
-    return KroneckerOperator(DenseOperator(Qt),
-                             ScaledIdentityOperator(lambda_s ** -2, n_s))
-
-
 @dataclass(frozen=True)
 class NonseparableKernel:
     """Space-time kernel base(sqrt(c1 ||dp||^2 + c2 |dt|^2))."""
@@ -256,27 +237,6 @@ def build_nonseparable_Q(kernel: NonseparableKernel, space_points: PointSet,
     op = DenseOperator(M)
     op._factor()
     return op
-
-
-def build_product_sum_Q(a0, a1, a2, Qt0, Qs0, Qs1, Qt2):
-    """Product-sum covariance a0 Qt0 (x) Qs0 + a1 I_t (x) Qs1 + a2 Qt2 (x) I_s.
-
-    The coefficients have no principled defaults; they are raw configuration.
-    """
-    from .linop import SumKroneckerOperator, identity
-    if min(a0, a1, a2) < 0:
-        raise ParameterError("product-sum coefficients must be nonnegative")
-    n_t, n_s = Qt0.rows, Qs0.rows
-    terms = []
-    if a0 > 0:
-        terms.append((a0, Qt0, Qs0))
-    if a1 > 0:
-        terms.append((a1, identity(n_t), Qs1))
-    if a2 > 0:
-        terms.append((a2, Qt2, identity(n_s)))
-    if not terms:
-        raise ParameterError("at least one product-sum coefficient must be positive")
-    return SumKroneckerOperator(terms)
 
 
 # ----------------------------------------------------------------------

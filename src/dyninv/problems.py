@@ -124,8 +124,7 @@ def gen_dynamic_deblur(nx: int, ny: int, n_t: int, spatial_sigma: float = 0.07,
     return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
                            grid=(nx, ny), seed=seed, kind="deblur",
                            noise_sigma=sigma_noise,
-                           meta={"A_t": At, "Tx": Tx, "Ty": Ty,
-                                 "noise_level": noise_level})
+                           meta={"noise_level": noise_level})
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +369,11 @@ def save_instance(inst: ProblemInstance, directory) -> None:
 
     if inst.kind == "deblur":
         cfg["instance"]["structure"] = "kron"
-        dio.write_matrix_bin(os.path.join(directory, "A_t.bin"), inst.meta["A_t"])
-        dio.write_matrix_bin(os.path.join(directory, "A_s_x.bin"), inst.meta["Tx"])
-        dio.write_matrix_bin(os.path.join(directory, "A_s_y.bin"), inst.meta["Ty"])
+        dio.write_matrix_bin(os.path.join(directory, "A_t.bin"), inst.A.left.entries)
+        dio.write_matrix_bin(os.path.join(directory, "A_s_x.bin"),
+                             inst.A.right.left.entries)
+        dio.write_matrix_bin(os.path.join(directory, "A_s_y.bin"),
+                             inst.A.right.right.entries)
     else:
         cfg["instance"]["structure"] = "sparse"
         sp.save_npz(os.path.join(directory, "A.npz"), inst.A.matrix,
@@ -416,7 +417,6 @@ def load_instance(directory) -> ProblemInstance:
         Ty = dio.read_matrix_bin(os.path.join(directory, "A_s_y.bin"))
         A_s = KroneckerOperator(DenseOperator(Tx), DenseOperator(Ty))
         A = KroneckerOperator(DenseOperator(At), A_s)
-        meta.update({"A_t": At, "Tx": Tx, "Ty": Ty})
     elif structure == "sparse":
         A = SparseOperator(sp.load_npz(os.path.join(directory, "A.npz")))
     else:

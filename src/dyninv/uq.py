@@ -2,8 +2,9 @@
 
 The posterior covariance (lam^2 Q^{-1} + A'R^{-1}A)^{-1} is approximated as a
 low-rank downdate of the scaled prior: lam^{-2} Q - Z_k Delta_k Z_k', where
-Z_k = Q V_k W_k comes from the eigendecomposition of B_k'B_k (computed via the
-SVD of B_k) and Delta_k holds lam^{-2} theta_i / (theta_i + lam^2).
+Z_k = Q V_k W_k comes from the eigendecomposition of B_k'B_k (taken from the
+SVD of B_k that ``hybrid.ProjectedProblem`` computes) and Delta_k holds
+lam^{-2} theta_i / (theta_i + lam^2).
 
 A decoupled variant combines per-time low-rank blocks through the temporal
 factors of the decoupled plan.
@@ -14,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ParameterError
 from .gengk import GenGKFactorization, gengk_init, gengk_restart, gengk_step
+from .hybrid import ProjectedProblem
 from .linop import LinearOperator
 
 # A Ritz value at or below this fraction of lam^2 is dropped, whatever the
@@ -42,10 +43,8 @@ class PosteriorApprox:
 
     def matvec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()
-        out = self.Q.apply(v) / self.lam ** 2
-        if self.rank:
-            out -= self.Z @ (self.deltas * (self.Z.T @ v))
-        return out
+        return (self.Q.apply(v) / self.lam ** 2
+                - self.Z @ (self.deltas * (self.Z.T @ v)))
 
 
 def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
@@ -57,28 +56,24 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
-    k = fact.k
-    if k == 0:
-        return PosteriorApprox(lam=lam, Q=Q, Z=np.zeros((Q.cols, 0)),
-                               deltas=np.zeros(0), thetas=np.zeros(0))
-    B = fact.bidiagonal(k)
     # eigendecomposition of B'B from the SVD of B avoids squaring conditioning
-    _, s, Vt = sla.svd(B, full_matrices=False)
-    thetas = s ** 2
+    proj = ProjectedProblem(fact.bidiagonal(), fact.beta1)
+    thetas = proj.s ** 2
     keep = thetas > THETA_RTOL * lam ** 2
     thetas = thetas[keep]
-    W = Vt.T[:, keep]
-    Z = fact.QV_matrix(k) @ W
+    Z = fact.QV_matrix() @ proj.Vt.T[:, keep]
     deltas = thetas / (thetas + lam ** 2) / lam ** 2
     return PosteriorApprox(lam=lam, Q=Q, Z=Z, deltas=deltas, thetas=thetas)
 
 
+def _downdate_diag(approx: PosteriorApprox) -> np.ndarray:
+    """diag(Z_k Delta_k Z_k'): zeros at rank 0."""
+    return (approx.Z ** 2) @ approx.deltas
+
+
 def variance_diag(approx: PosteriorApprox) -> np.ndarray:
     """Diagonal of the approximate posterior covariance."""
-    out = approx.Q.diagonal() / approx.lam ** 2
-    if approx.rank:
-        out = out - (approx.Z ** 2) @ approx.deltas
-    return out
+    return approx.Q.diagonal() / approx.lam ** 2 - _downdate_diag(approx)
 
 
 def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
@@ -117,26 +112,18 @@ def decoupled_variance_diag(plan, factorizations: dict, lam: float) -> np.ndarra
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
-    n_s, n_t = plan.n_s, plan.n_t
-    qs_diag = plan.Q_s.diagonal()
-
     # diag(D_j) for each time block
-    d_blocks = np.zeros((n_s, n_t))
-    for j in range(n_t):
+    d_blocks = np.zeros((plan.n_s, plan.n_t))
+    for j in range(plan.n_t):
         fact = factorizations.get(j)
         if fact is None:
             if not plan.sigma_zero(j):
                 raise ParameterError(f"missing factorization for nonzero-sigma "
                                      f"time index {j}")
             continue
-        approx = build_posterior_approx(fact, plan.Q_s, lam)
-        if approx.rank:
-            d_blocks[:, j] = (approx.Z ** 2) @ approx.deltas
+        d_blocks[:, j] = _downdate_diag(build_posterior_approx(fact, plan.Q_s, lam))
 
     # weights (e_j' V_t' L_t e_i)^2
     Wt = (plan.Vt.T @ plan.Lt) ** 2  # (j, i) entry
-    qt_diag = np.diag(plan.Qt)
-    out = np.empty((n_s, n_t))
-    for i in range(n_t):
-        out[:, i] = qt_diag[i] * qs_diag / lam ** 2 - d_blocks @ Wt[:, i]
-    return out
+    return (np.outer(plan.Q_s.diagonal(), np.diag(plan.Qt)) / lam ** 2
+            - d_blocks @ Wt)

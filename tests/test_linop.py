@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from dyninv.errors import BudgetExceededError, ShapeError
 from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
                           ScaledIdentityOperator, ScaledOperator, SparseOperator,
-                          SumKroneckerOperator, identity, aslinearoperator)
+                          identity, aslinearoperator)
 
 from conftest import random_spd
 
@@ -83,16 +83,6 @@ def test_block_diag_equals_kron_with_identity(rng):
     npt.assert_allclose(bd.apply(x), K.apply(x), rtol=1e-13, atol=1e-13)
 
 
-def test_sum_kronecker_single_term_equals_kron(rng):
-    L = DenseOperator(rng.standard_normal((3, 3)))
-    Rm = DenseOperator(rng.standard_normal((4, 4)))
-    S = SumKroneckerOperator([(1.0, L, Rm)])
-    K = KroneckerOperator(L, Rm)
-    x = rng.standard_normal(12)
-    npt.assert_allclose(S.apply(x), K.apply(x))
-    npt.assert_allclose(S.to_dense(), K.to_dense())
-
-
 def every_operator_type(rng):
     """One operator of each concrete type, square and rectangular."""
     n_t, n_s = 3, 4
@@ -107,8 +97,6 @@ def every_operator_type(rng):
         DiagonalOperator(rng.random(6) + 0.1),
         ScaledIdentityOperator(2.5, 6),
         KroneckerOperator(dense(n_t, n_t), dense(n_s, n_s)),
-        SumKroneckerOperator([(0.7, dense(n_t, n_t), dense(n_s, n_s)),
-                              (1.3, dense(n_t, n_t), dense(n_s, n_s))]),
         ScaledOperator(-1.5, dense(4, 6)),
     ]
 

@@ -5,8 +5,6 @@ import pytest
 from dyninv.errors import ParameterError
 from dyninv import priorcov as pc
 
-from conftest import random_spd
-
 
 # ----------------------------------------------------------------------
 # Kernel evaluation
@@ -137,17 +135,6 @@ def test_fd_temporal():
         pc.build_fd_temporal([0.0, 1.0], gamma=0.0)
 
 
-def test_schmitt_prior():
-    L, _ = pc.build_fd_temporal([0.0, 1.0], gamma=1.0)
-    Q = pc.build_schmitt_prior(1.0, 1.0, L, n_s=3)
-    npt.assert_allclose(Q.left.to_dense(), np.array([[2, 1], [1, 2]]) / 3.0, rtol=1e-14)
-    # no temporal coupling: lambda_t = 0
-    Q0 = pc.build_schmitt_prior(2.0, 0.0, L, n_s=3)
-    npt.assert_allclose(Q0.to_dense(), 0.25 * np.eye(6), atol=1e-15)
-    with pytest.raises(ParameterError):
-        pc.build_schmitt_prior(0.0, 1.0, L, n_s=3)
-
-
 def test_build_temporal_prior_dispatch():
     assert np.allclose(pc.build_temporal_prior("identity", n_t=4).to_dense(), np.eye(4))
     Q = pc.build_temporal_prior("minij", n_t=3).to_dense()
@@ -197,21 +184,6 @@ def test_nonseparable_entrywise():
     # entry ((p2, t1), (p1, t2)): spatial distance 0.5, temporal distance 1
     expected = np.exp(-np.sqrt(c1 * 0.25 + c2 * 1.0) / 2.0)
     npt.assert_allclose(M[1, 2], expected, rtol=1e-14)
-
-
-def test_product_sum_Q(rng):
-    n_t, n_s = 3, 4
-    Qt0 = pc.DenseOperator(random_spd(rng, n_t))
-    Qs0 = pc.DenseOperator(random_spd(rng, n_s))
-    Qs1 = pc.DenseOperator(random_spd(rng, n_s))
-    Qt2 = pc.DenseOperator(random_spd(rng, n_t))
-    Q = pc.build_product_sum_Q(0.5, 1.0, 2.0, Qt0, Qs0, Qs1, Qt2)
-    dense = (0.5 * np.kron(Qt0.entries, Qs0.entries)
-             + 1.0 * np.kron(np.eye(n_t), Qs1.entries)
-             + 2.0 * np.kron(Qt2.entries, np.eye(n_s)))
-    npt.assert_allclose(Q.to_dense(), dense, rtol=1e-13)
-    with pytest.raises(ParameterError):
-        pc.build_product_sum_Q(-1, 0, 0, Qt0, Qs0, Qs1, Qt2)
 
 
 def test_point_set_normalization():

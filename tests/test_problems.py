@@ -158,6 +158,10 @@ def test_save_load_deblur_roundtrip(tmp_path):
     npt.assert_array_equal(back.s_true, inst.s_true)
     assert back.kind == "deblur"
     assert (back.n_s, back.n_t) == (30, 3)
+    # the saved factors are the generated ones, bit for bit
+    for factor in (lambda A: A.left, lambda A: A.right.left, lambda A: A.right.right):
+        got, want = factor(back.A).entries, factor(inst.A).entries
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     x = np.linspace(-1, 1, 90)
     npt.assert_allclose(back.A.apply(x), inst.A.apply(x), rtol=1e-13)
 
