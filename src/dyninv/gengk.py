@@ -85,11 +85,6 @@ class GenGKFactorization:
         B[np.arange(1, k + 1), np.arange(k)] = self.betas[:k]
         return B
 
-    def U_matrix(self, k: int | None = None) -> np.ndarray:
-        """View of u_1 .. u_{k+1} (u_{k+1} is absent after a beta breakdown)."""
-        k = self.k if k is None else k
-        return self._U[:, :min(k + 1, self._nu)]
-
     def V_matrix(self, k: int | None = None) -> np.ndarray:
         """View of v_1 .. v_k."""
         k = self.k if k is None else k

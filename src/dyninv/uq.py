@@ -6,6 +6,11 @@ Z_k = Q V_k W_k comes from the eigendecomposition of B_k'B_k (taken from the
 SVD of B_k that ``hybrid.ProjectedProblem`` computes) and Delta_k holds
 lam^{-2} theta_i / (theta_i + lam^2).
 
+Z_k is never stored.  The approximation keeps the factorization's Q V_k view
+and the k x k' matrix W_k, and the diagonal of the downdate is summed over
+row blocks of Q V_k of ``BLOCK_BYTES``, so besides the factorization the
+variance needs O(block + n) memory, not the n x k' of Z_k.
+
 A decoupled variant combines per-time low-rank blocks through the temporal
 factors of the decoupled plan.
 """
@@ -26,25 +31,26 @@ from .linop import LinearOperator
 # variance along its direction.
 THETA_RTOL = 1e-12
 
+# Row blocks of Q V_k W_k in the downdate are this many bytes: small enough
+# to be squared and reduced while in cache, large enough to amortize a matrix
+# product per block.
+BLOCK_BYTES = 256 * 1024
+
 
 @dataclass
 class PosteriorApprox:
-    """Low-rank representation lam^{-2} Q - Z_k Delta_k Z_k'."""
+    """Low-rank representation lam^{-2} Q - Z_k Delta_k Z_k', Z_k = QV W."""
 
     lam: float
     Q: LinearOperator
-    Z: np.ndarray          # n x k', columns Q V_k W_k (truncated)
+    QV: np.ndarray         # n x k view of the factorization's Q V_k
+    W: np.ndarray          # k x k', retained right singular vectors of B_k
     deltas: np.ndarray     # k' entries, in [0, lam^{-2})
     thetas: np.ndarray     # retained Ritz values of B_k'B_k
 
     @property
     def rank(self) -> int:
         return self.deltas.size
-
-    def matvec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        return (self.Q.apply(v) / self.lam ** 2
-                - self.Z @ (self.deltas * (self.Z.T @ v)))
 
 
 def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
@@ -61,14 +67,21 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     thetas = proj.s ** 2
     keep = thetas > THETA_RTOL * lam ** 2
     thetas = thetas[keep]
-    Z = fact.QV_matrix() @ proj.Vt.T[:, keep]
     deltas = thetas / (thetas + lam ** 2) / lam ** 2
-    return PosteriorApprox(lam=lam, Q=Q, Z=Z, deltas=deltas, thetas=thetas)
+    return PosteriorApprox(lam=lam, Q=Q, QV=fact.QV_matrix(),
+                           W=proj.Vt.T[:, keep], deltas=deltas, thetas=thetas)
 
 
 def _downdate_diag(approx: PosteriorApprox) -> np.ndarray:
-    """diag(Z_k Delta_k Z_k'): zeros at rank 0."""
-    return (approx.Z ** 2) @ approx.deltas
+    """diag(Z_k Delta_k Z_k') over row blocks of Z_k = QV W: zeros at rank 0."""
+    QV, W = approx.QV, approx.W
+    out = np.empty(QV.shape[0])
+    rows = max(1, BLOCK_BYTES // (8 * max(W.shape[1], 1)))
+    for start in range(0, QV.shape[0], rows):
+        block = QV[start:start + rows] @ W
+        np.square(block, out=block)
+        np.matmul(block, approx.deltas, out=out[start:start + rows])
+    return out
 
 
 def variance_diag(approx: PosteriorApprox) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_acceptance_posterior_variance():
            "Ritz values not sorted descending")
     prev = None
     for r in range(approx.rank + 1):
-        v_r = prior_var - (approx.Z[:, :r] ** 2) @ approx.deltas[:r]
+        v_r = prior_var - ((approx.QV @ approx.W[:, :r]) ** 2) @ approx.deltas[:r]
         _check(failures, np.all(v_r <= prior_var + 1e-12),
                f"rank-{r} estimate exceeds the prior bound")
         if prev is not None and not np.all(v_r <= prev + 1e-10):

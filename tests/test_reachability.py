@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the library is used by the
-library itself or by the benchmark, not only by its own tests."""
+"""Every public module-level function and class of the library, and every
+public method of its classes, is used by the library itself or by the
+benchmark, not only by its own tests."""
 
 import ast
 from pathlib import Path
@@ -15,9 +16,15 @@ EXEMPT_NAMES = {
 }
 
 
+def public_defs(node):
+    return [child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            and not child.name.startswith("_")]
+
+
 def test_every_public_name_is_used_outside_its_definition():
     uses = []      # (path, line, identifier) of each Name and Attribute node
-    defined = []   # (path, module-level public def or class node)
+    defined = []   # (path, qualified name, public def or class node)
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -26,15 +33,17 @@ def test_every_public_name_is_used_outside_its_definition():
             elif isinstance(node, ast.Attribute):
                 uses.append((path, node.lineno, node.attr))
         if path.parent == LIBRARY and path.stem not in EXEMPT_MODULES:
-            defined += [(path, node) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")]
+            for node in public_defs(tree):
+                defined.append((path, f"{path.stem}.{node.name}", node))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(path, f"{path.stem}.{node.name}.{method.name}", method)
+                                for method in public_defs(node)
+                                if isinstance(method, ast.FunctionDef)]
 
     def used(path, node):
         return any(name == node.name
                    and not (p == path and node.lineno <= line <= node.end_lineno)
                    for p, line, name in uses)
 
-    unused = {f"{path.stem}.{node.name}" for path, node in defined
-              if not used(path, node)}
+    unused = {name for path, name, node in defined if not used(path, node)}
     assert unused <= EXEMPT_NAMES, sorted(unused - EXEMPT_NAMES)

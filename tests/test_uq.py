@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from dyninv.errors import ParameterError
 from dyninv import decoupled, gengk, hybrid, oracle, uq
-from dyninv.linop import DenseOperator, identity
+from dyninv.linop import DenseOperator, DiagonalOperator, SparseOperator, identity
 
 from conftest import (block_restart_instance, random_orthogonal, random_problem,
                       random_spd)
@@ -14,12 +17,20 @@ def wrap(A, R, Q):
     return DenseOperator(A), DenseOperator(R), DenseOperator(Q)
 
 
+def posterior_matvec(approx, v):
+    """Q v / lam^2 - QV W (deltas * W' QV' v): the approximate covariance times v."""
+    v = np.asarray(v, dtype=float)
+    QV, W = approx.QV, approx.W
+    return (approx.Q.apply(v) / approx.lam ** 2
+            - QV @ (W @ (approx.deltas * (W.T @ (QV.T @ v)))))
+
+
 def test_identity_scalar_posterior():
     fact = gengk.gengk(identity(1), identity(1), identity(1), [1.0], k=1)
     approx = uq.build_posterior_approx(fact, identity(1), lam=1.0)
     var = uq.variance_diag(approx)
     npt.assert_allclose(var, [0.5], rtol=1e-14)
-    npt.assert_allclose(approx.matvec([1.0]), [0.5], rtol=1e-14)
+    npt.assert_allclose(posterior_matvec(approx, [1.0]), [0.5], rtol=1e-14)
 
 
 def test_k0_is_pure_prior(rng):
@@ -50,7 +61,7 @@ def test_full_rank_matches_dense_posterior(rng):
     v = rng.standard_normal(n)
     exact_full = oracle.dense_posterior(
         oracle.DenseProblem(A, R, Q, b, lam=lam)) @ v
-    npt.assert_allclose(approx.matvec(v), exact_full, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(posterior_matvec(approx, v), exact_full, rtol=1e-7, atol=1e-9)
 
 
 def test_deflation_bound_and_monotone(rng):
@@ -65,7 +76,7 @@ def test_deflation_bound_and_monotone(rng):
     assert np.all(np.diff(approx.thetas) <= 0)
     prev = None
     for r in range(approx.rank + 1):
-        var = prior_var - (approx.Z[:, :r] ** 2) @ approx.deltas[:r]
+        var = prior_var - ((approx.QV @ approx.W[:, :r]) ** 2) @ approx.deltas[:r]
         assert np.all(var <= prior_var + 1e-12)
         if prev is not None:
             assert np.all(var <= prev + 1e-10)
@@ -183,3 +194,50 @@ def test_restarted_variance_keeps_a_block_far_below_the_first():
     # downdate keeps its accuracy relative to the prior only
     prior = np.diag(Q) / lam ** 2
     assert np.all(np.abs(var - exact)[:4] <= 1e-12 * prior[:4])
+
+
+@pytest.mark.parametrize("lam, kept", [(0.5, "all"), (1e3, "some"), (1e9, "none")])
+def test_blocked_variance_matches_the_one_shot_downdate(rng, monkeypatch, lam, kept):
+    # A = diag(sigma) G with orthonormal rows G and sigma from 1e2 down to
+    # 1e-6: the Ritz values at or below 1e-12 lam^2 are dropped, none of them
+    # at lam = 0.5, some at lam = 1e3 and all at lam = 1e9
+    m, n, k, rows = 40, 1003, 25, 7
+    G = np.linalg.qr(rng.standard_normal((n, m)))[0].T
+    A = DenseOperator(np.logspace(2, -6, m)[:, None] * G)
+    Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
+    fact = gengk.gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+                       reorthogonalize=True)
+    approx = uq.build_posterior_approx(fact, Q, lam)
+    k_kept = approx.W.shape[1]
+    assert approx.W.shape[0] == k
+    assert {"all": k_kept == k, "some": 0 < k_kept < k, "none": k_kept == 0}[kept]
+    # blocks of 7 rows, which do not divide n
+    monkeypatch.setattr(uq, "BLOCK_BYTES", 8 * max(k_kept, 1) * rows)
+    assert n % rows
+    var = uq.variance_diag(approx)
+    prior = Q.diagonal() / lam ** 2
+    if k_kept == 0:
+        assert np.array_equal(var, prior)
+    one_shot = prior - ((approx.QV @ approx.W) ** 2) @ approx.deltas
+    npt.assert_allclose(var, one_shot, rtol=1e-14, atol=0)
+
+
+def test_variance_needs_no_n_by_k_temporaries():
+    # n k 8 bytes = 32 MB of Q V; the variance may allocate a quarter of that
+    n, m, k = 200_000, 30, 20
+    rng = np.random.default_rng(3)
+    A = SparseOperator(sp.random(m, n, density=2e-3, random_state=rng))
+    Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
+    fact = gengk.gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+                       reorthogonalize=True)
+    assert fact.k == k
+    tracemalloc.start()
+    try:
+        approx = uq.build_posterior_approx(fact, Q, lam=1.0)
+        var = uq.variance_diag(approx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert approx.rank == k
+    assert var.shape == (n,)
+    assert peak < n * k * 8 / 4, peak
