@@ -281,15 +281,6 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
     return True
 
 
-def gengk(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
-          k: int, reorthogonalize: bool = False) -> GenGKFactorization:
-    """Run up to ``k`` gen-GK steps, stopping early on breakdown."""
-    fact = gengk_init(A, R, Q, b, k, reorthogonalize)
-    while fact.breakdown is None and fact.k < k:
-        gengk_step(fact)
-    return fact
-
-
 def _prefix_relations(fact: GenGKFactorization) -> dict:
     """Relation residuals and Gram deviations of every prefix of the factorization.
 

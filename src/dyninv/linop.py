@@ -8,7 +8,11 @@ and scalings.  A block-diagonal forward model is one sparse matrix
 its blocks repeat.
 
 The public methods of :class:`LinearOperator` check shapes (and the
-densification budget) once; concrete types implement private hooks only.
+densification budget) once; concrete types implement private hooks only,
+one per action, and every hook acts on a block of columns.  A vector is a
+one-column block.  Composite operators reach their factors through the
+factors' public block methods only, so a wrapper that overrides those
+methods sees every application of the factor it wraps.
 
 Vectorization convention: ``vec`` stacks matrix columns, so for a Kronecker
 product ``Q_t (x) Q_s`` acting on ``x = vec(X)`` with ``X`` of shape
@@ -46,12 +50,15 @@ def _check_mat(M, n):
 
 
 class LinearOperator:
-    """Base class: a real linear map known through matvecs.
+    """Base class: a real linear map known through its action on blocks.
 
     The public methods validate their input once and then call a private
-    hook; subclasses override hooks only.  ``_matvec``/``_rmatvec`` are
-    required; the matrix hooks default to one matvec per column, and
-    ``_to_dense`` to applying the operator to the identity.
+    hook; subclasses override hooks only.  ``_matmat``/``_rmatmat`` are
+    required and ``_solve_mat`` serves the SPD operators that support
+    solves.  ``apply``, ``apply_adjoint`` and ``solve`` call the block hook
+    on the vector as a one-column block and return its column.
+    ``_diagonal`` defaults to the diagonal of ``to_dense`` and ``_to_dense``
+    to applying the operator to the identity.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -73,32 +80,14 @@ class LinearOperator:
         return (self._rows, self._cols)
 
     # -- implementation hooks (inputs already validated) -----------------
-    def _matvec(self, v):
-        raise NotImplementedError
-
-    def _rmatvec(self, v):
-        raise NotImplementedError
-
     def _matmat(self, M):
-        out = np.empty((self._rows, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self._matvec(M[:, j])
-        return out
+        raise NotImplementedError
 
     def _rmatmat(self, M):
-        out = np.empty((self._cols, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self._rmatvec(M[:, j])
-        return out
-
-    def _solve(self, v):
-        raise NotImplementedError(f"{type(self).__name__} does not support solve()")
+        raise NotImplementedError
 
     def _solve_mat(self, M):
-        out = np.empty((self._cols, M.shape[1]))
-        for j in range(M.shape[1]):
-            out[:, j] = self._solve(M[:, j])
-        return out
+        raise NotImplementedError(f"{type(self).__name__} does not support solve()")
 
     def _diagonal(self):
         return np.diag(self.to_dense()).copy()
@@ -109,11 +98,11 @@ class LinearOperator:
     # -- public application ---------------------------------------------
     def apply(self, v):
         """Return ``op @ v``."""
-        return self._matvec(_check_vec(v, self._cols))
+        return self._matmat(_check_vec(v, self._cols)[:, None])[:, 0]
 
     def apply_adjoint(self, v):
         """Return ``op.T @ v``."""
-        return self._rmatvec(_check_vec(v, self._rows))
+        return self._rmatmat(_check_vec(v, self._rows)[:, None])[:, 0]
 
     def apply_mat(self, M):
         """Apply the operator to each column of the 2-D array ``M``."""
@@ -125,7 +114,7 @@ class LinearOperator:
 
     def solve(self, v):
         """Return ``op^{-1} @ v`` for SPD operators that support it."""
-        return self._solve(_check_vec(v, self._cols))
+        return self._solve_mat(_check_vec(v, self._cols)[:, None])[:, 0]
 
     def solve_mat(self, M):
         """Solve for each column of the 2-D array ``M``."""
@@ -162,12 +151,6 @@ class DenseOperator(LinearOperator):
         self.entries = A
         self._chol = None
 
-    def _matvec(self, v):
-        return self.entries @ v
-
-    def _rmatvec(self, v):
-        return self.entries.T @ v
-
     def _matmat(self, M):
         return self.entries @ M
 
@@ -188,9 +171,6 @@ class DenseOperator(LinearOperator):
                 ) from exc
         return self._chol
 
-    def _solve(self, v):
-        return sla.cho_solve(self._factor(), v)
-
     def _solve_mat(self, M):
         return sla.cho_solve(self._factor(), M)
 
@@ -208,12 +188,6 @@ class SparseOperator(LinearOperator):
         M = sp.csr_matrix(matrix)
         super().__init__(M.shape[0], M.shape[1])
         self.matrix = M
-
-    def _matvec(self, v):
-        return self.matrix @ v
-
-    def _rmatvec(self, v):
-        return self.matrix.T @ v
 
     def _matmat(self, M):
         return np.asarray(self.matrix @ M)
@@ -233,18 +207,10 @@ class DiagonalOperator(LinearOperator):
         super().__init__(d.size, d.size)
         self.diag = d
 
-    def _matvec(self, v):
-        return self.diag * v
-
-    _rmatvec = _matvec
-
     def _matmat(self, M):
         return self.diag[:, None] * M
 
     _rmatmat = _matmat
-
-    def _solve(self, v):
-        return v / self.diag
 
     def _solve_mat(self, M):
         return M / self.diag[:, None]
@@ -274,8 +240,8 @@ class KroneckerOperator(LinearOperator):
     """Kronecker product ``left (x) right`` applied via the reshape identity.
 
     ``left`` is the temporal factor (e.g. Q_t), ``right`` the spatial factor
-    (e.g. Q_s); application costs one batch of matvecs per factor instead of
-    one dense product of the full Kronecker matrix.
+    (e.g. Q_s); an action on a block of p columns costs one block call per
+    factor instead of one dense product of the full Kronecker matrix.
     """
 
     def __init__(self, left: LinearOperator, right: LinearOperator):
@@ -283,23 +249,32 @@ class KroneckerOperator(LinearOperator):
         self.left = left
         self.right = right
 
-    def _matvec(self, v):
-        X = v.reshape(self.right.cols, self.left.cols, order="F")
-        Y = self.right.apply_mat(X)
-        Z = self.left.apply_mat(Y.T).T
-        return Z.reshape(-1, order="F")
+    @staticmethod
+    def _act(M, left_act, right_act, right_in, left_in):
+        """``vec(right_act(X_j) left_act^T)`` for each column ``vec(X_j)`` of
+        ``M``, with ``X_j`` of shape ``(right_in, left_in)``: ``right_act``
+        runs once on the p blocks side by side, ``left_act`` once on their
+        transposes."""
+        p = M.shape[1]
+        Y = right_act(M.reshape(right_in, left_in * p, order="F"))
+        right_out = Y.shape[0]
+        Y = Y.reshape(right_out, left_in, p, order="F").transpose(1, 0, 2)
+        Z = left_act(Y.reshape(left_in, right_out * p, order="F"))
+        left_out = Z.shape[0]
+        Z = Z.reshape(left_out, right_out, p, order="F").transpose(1, 0, 2)
+        return Z.reshape(right_out * left_out, p, order="F")
 
-    def _rmatvec(self, v):
-        X = v.reshape(self.right.rows, self.left.rows, order="F")
-        Y = self.right.apply_adjoint_mat(X)
-        Z = self.left.apply_adjoint_mat(Y.T).T
-        return Z.reshape(-1, order="F")
+    def _matmat(self, M):
+        return self._act(M, self.left.apply_mat, self.right.apply_mat,
+                         self.right.cols, self.left.cols)
 
-    def _solve(self, v):
-        X = v.reshape(self.right.cols, self.left.cols, order="F")
-        Y = self.right.solve_mat(X)
-        Z = self.left.solve_mat(Y.T).T
-        return Z.reshape(-1, order="F")
+    def _rmatmat(self, M):
+        return self._act(M, self.left.apply_adjoint_mat, self.right.apply_adjoint_mat,
+                         self.right.rows, self.left.rows)
+
+    def _solve_mat(self, M):
+        return self._act(M, self.left.solve_mat, self.right.solve_mat,
+                         self.right.cols, self.left.cols)
 
     def _diagonal(self):
         dl = self.left.diagonal()
@@ -318,14 +293,11 @@ class ScaledOperator(LinearOperator):
         self.alpha = float(alpha)
         self.base = base
 
-    def _matvec(self, v):
-        return self.alpha * self.base._matvec(v)
-
-    def _rmatvec(self, v):
-        return self.alpha * self.base._rmatvec(v)
-
     def _matmat(self, M):
         return self.alpha * self.base.apply_mat(M)
+
+    def _rmatmat(self, M):
+        return self.alpha * self.base.apply_adjoint_mat(M)
 
     def _diagonal(self):
         return self.alpha * self.base.diagonal()

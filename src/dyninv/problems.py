@@ -67,10 +67,7 @@ def gaussian_blur_1d(n: int, sigma: float, bandwidth: int,
     offsets = np.arange(n)
     kernel = np.exp(-((offsets * h) ** 2) / (2.0 * sigma ** 2))
     kernel[bandwidth:] = 0.0
-    col = kernel
-    T = np.empty((n, n))
-    for i in range(n):
-        T[i, :] = col[np.abs(offsets - i)]
+    T = kernel[np.abs(offsets[:, None] - offsets)]
     T /= T.sum(axis=1, keepdims=True)
     return T
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dyninv.gengk import gengk_init, gengk_step
 from dyninv.linop import DenseOperator
 
 
@@ -24,6 +25,14 @@ def block_restart_instance(rng):
                for X, Y in blocks)
     R, Q = R @ R.T + np.eye(8), Q @ Q.T + np.eye(8)
     return A, R, Q, np.concatenate([rng.standard_normal(4), np.zeros(4)])
+
+
+def run_gengk(A, R, Q, b, k, reorthogonalize=False):
+    """Run up to ``k`` gen-GK steps, stopping early on breakdown."""
+    fact = gengk_init(A, R, Q, b, k, reorthogonalize)
+    while fact.breakdown is None and fact.k < k:
+        gengk_step(fact)
+    return fact
 
 
 def random_problem(rng, m, n, cond=100.0):

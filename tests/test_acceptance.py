@@ -15,7 +15,7 @@ from dyninv import priorcov as pc
 from dyninv.linop import (DenseOperator, KroneckerOperator, ScaledIdentityOperator,
                           SparseOperator, identity)
 
-from conftest import random_problem, random_spd
+from conftest import random_problem, random_spd, run_gengk
 
 
 def _report(label, failures):
@@ -45,7 +45,7 @@ def test_acceptance_bidiagonalization_relations():
         m = int(rng.integers(40, 151))
         n = int(rng.integers(40, 201))
         A, R, Q, b = random_problem(rng, m, n, cond=1e4)
-        fact = gengk.gengk(*wrap(A, R, Q), b, k=25, reorthogonalize=True)
+        fact = run_gengk(*wrap(A, R, Q), b, k=25, reorthogonalize=True)
         report = gengk.krylov_basis_span_check(fact)
         for key, val in report.items():
             worst[key] = max(worst.get(key, 0.0), val)
@@ -151,7 +151,7 @@ def test_acceptance_posterior_variance():
     m, n = 70, 60
     A, R, Q, b = random_problem(rng, m, n)
     lam = 0.9
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=n, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=n, reorthogonalize=True)
     approx = uq.build_posterior_approx(fact, DenseOperator(Q), lam)
     var = uq.variance_diag(approx)
     exact = np.diag(oracle.dense_posterior(
@@ -189,8 +189,8 @@ def test_acceptance_posterior_variance():
             facts[i] = None
             continue
         op = decoupled.ScaledOperator(plan.sigmas[i], plan.A_s)
-        facts[i] = gengk.gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=n_s,
-                               reorthogonalize=True)
+        facts[i] = run_gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=n_s,
+                             reorthogonalize=True)
     var_dec = uq.decoupled_variance_diag(plan, facts, lam)
     exact_dec = np.diag(oracle.dense_posterior(oracle.DenseProblem(
         np.kron(At, As), np.kron(Rt, Rs), np.kron(Qt, Qs), d, lam=lam)))
@@ -267,7 +267,7 @@ def test_acceptance_gcv_machinery():
     A, R, Q, _ = random_problem(rng, 40, 30)
     s_true = rng.standard_normal(30)
     d = A @ s_true + 0.1 * rng.standard_normal(40)
-    fact = gengk.gengk(*wrap(A, R, Q), d, k=15, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), d, k=15, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     s_max = proj.s[0]
     lam_search = hybrid.minimize_over_lambda(proj.gcv, s_max)
@@ -282,7 +282,7 @@ def test_acceptance_gcv_machinery():
     m, n = 13, 12
     A, R, Q, _ = random_problem(rng, m, n)
     d = A @ rng.standard_normal(n) + 0.05 * rng.standard_normal(m)
-    fact = gengk.gengk(*wrap(A, R, Q), d, k=n, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), d, k=n, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     s_max = proj.s[0]
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
@@ -305,7 +305,7 @@ def test_acceptance_gcv_machinery():
 def _best_lambda_error(A, R, Q, d, s_true, k, tile=1):
     """Relative error at the best regularization parameter, from one
     factorization of depth k (the parameter sweep reuses the projected SVD)."""
-    fact = gengk.gengk(A, R, Q, d, k=k, reorthogonalize=True)
+    fact = run_gengk(A, R, Q, d, k=k, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     best = np.inf

@@ -9,7 +9,7 @@ from dyninv import gengk
 from dyninv.linop import DenseOperator, ScaledIdentityOperator, identity
 
 from conftest import (block_restart_instance, random_orthogonal, random_problem,
-                      random_spd)
+                      random_spd, run_gengk)
 
 
 def wrap(A, R, Q):
@@ -47,8 +47,8 @@ def test_init_breakdown_b_orthogonal_to_range_up_to_rounding():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 10))
     b = np.linalg.svd(A)[0][:, 8]
-    fact = gengk.gengk(DenseOperator(A), identity(12), identity(10), b, k=10,
-                       reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), identity(12), identity(10), b, k=10,
+                     reorthogonalize=True)
     assert fact.k == 0
     assert fact.breakdown == 0
 
@@ -69,7 +69,7 @@ def test_identity_exhaustion():
 
 def test_small_dense_relations():
     A = DenseOperator(np.diag([1.0, 2.0]))
-    fact = gengk.gengk(A, identity(2), identity(2), [1.0, 1.0], k=2)
+    fact = run_gengk(A, identity(2), identity(2), [1.0, 1.0], k=2)
     report = gengk.krylov_basis_span_check(fact)
     for key in ("resid_b", "resid_AQV", "resid_AtRinvU"):
         assert report[key] <= 1e-13, (key, report)
@@ -79,7 +79,7 @@ def test_small_dense_relations():
 
 def test_random_weighted_orthogonality(rng):
     A, R, Q, b = random_problem(rng, 20, 30)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=10, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=10, reorthogonalize=True)
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-10
     assert report["orth_V"] <= 1e-10
@@ -89,7 +89,7 @@ def test_random_weighted_orthogonality(rng):
 
 def test_relations_without_reorthogonalization(rng):
     A, R, Q, b = random_problem(rng, 40, 50, cond=1e4)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=25, reorthogonalize=False)
+    fact = run_gengk(*wrap(A, R, Q), b, k=25, reorthogonalize=False)
     report = gengk.krylov_basis_span_check(fact)
     # recurrences hold even when orthogonality degrades
     assert report["resid_b"] <= 1e-10
@@ -101,8 +101,8 @@ def test_matches_standard_golub_kahan(rng):
     # with R = Q = I the weighted iteration is plain Golub-Kahan on (A, b)
     A = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    fact = gengk.gengk(DenseOperator(A), identity(15), identity(12), b, k=8,
-                       reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), identity(15), identity(12), b, k=8,
+                     reorthogonalize=True)
 
     # reference bidiagonalization
     beta = np.linalg.norm(b)
@@ -129,7 +129,7 @@ def test_matches_standard_golub_kahan(rng):
 
 def test_scalars_nonnegative(rng):
     A, R, Q, b = random_problem(rng, 25, 18)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=12)
+    fact = run_gengk(*wrap(A, R, Q), b, k=12)
     assert all(a >= 0 for a in fact.alphas)
     assert all(be >= 0 for be in fact.betas)
 
@@ -145,8 +145,8 @@ def test_post_breakdown_relations_hold(rng):
     # rank-2 operator forces an early breakdown; relations still hold truncated
     A = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 8))
     b = A @ rng.standard_normal(8)
-    fact = gengk.gengk(DenseOperator(A), identity(10), identity(8), b, k=6,
-                       reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), identity(10), identity(8), b, k=6,
+                     reorthogonalize=True)
     assert fact.breakdown is not None
     report = gengk.krylov_basis_span_check(fact)
     assert report["resid_AQV"] <= 1e-10
@@ -163,7 +163,7 @@ def test_bidiagonal_dense_structure():
 
 def test_diagnostics_csv(tmp_path, rng):
     A, R, Q, b = random_problem(rng, 12, 10)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=5, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=5, reorthogonalize=True)
     path = tmp_path / "diag.csv"
     gengk.dump_diagnostics_csv(fact, path)
     lines = path.read_text().strip().splitlines()
@@ -176,14 +176,14 @@ def test_diagnostics_csv(tmp_path, rng):
 def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
     A, R, Q, b = random_problem(rng, 40, 50, cond=1e4)
     ops = wrap(A, R, Q)
-    fact = gengk.gengk(*ops, b, k=25, reorthogonalize=False)
+    fact = run_gengk(*ops, b, k=25, reorthogonalize=False)
     path = tmp_path / "diag.csv"
     gengk.dump_diagnostics_csv(fact, path)
     rows = path.read_text().strip().splitlines()[1:]
     assert len(rows) == fact.k
     for i, row in enumerate(rows, start=1):
         orth_u, orth_v, rec = (float(x) for x in row.split(",")[3:6])
-        report = gengk.krylov_basis_span_check(gengk.gengk(*ops, b, k=i))
+        report = gengk.krylov_basis_span_check(run_gengk(*ops, b, k=i))
         npt.assert_allclose(
             [orth_u, orth_v, rec],
             [report["orth_U"], report["orth_V"],
@@ -193,7 +193,7 @@ def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
 
 def test_basis_accessors_are_views(rng):
     A, R, Q, b = random_problem(rng, 12, 10)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=4, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=4, reorthogonalize=True)
     for first, second in [(fact.V_matrix(), fact.V_matrix(2)),
                           (fact.QV_matrix(), fact.QV_matrix(2))]:
         assert np.shares_memory(first, second)
@@ -220,8 +220,8 @@ def test_breakdown_step_independent_of_units(seed):
     steps = {}
     for b_scale, A_scale in [(1.0, 1.0), (1e-13, 1.0), (1e13, 1.0), (1e15, 1.0),
                              (1.0, 1e-13), (1.0, 1e13)]:
-        fact = gengk.gengk(DenseOperator(A_scale * A), identity(12), identity(12),
-                           b_scale * b, k=20, reorthogonalize=True)
+        fact = run_gengk(DenseOperator(A_scale * A), identity(12), identity(12),
+                         b_scale * b, k=20, reorthogonalize=True)
         steps[(b_scale, A_scale)] = fact.breakdown
     assert set(steps.values()) == {12}, steps
 
@@ -246,7 +246,7 @@ def test_relations_dense_weight_full_reorthogonalization(rng):
     # a dense, non-diagonal SPD R exercises the R^{-1} u recomputed after
     # each Gram-Schmidt pass, all the way to an exhausted Krylov space
     A, R, Q, b = random_problem(rng, 20, 15)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
     assert fact.k == 15
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-12
@@ -307,7 +307,7 @@ def test_restart_after_a_beta_breakdown_keeps_the_relations(rng):
     # b excites the first of two 4 x 4 blocks: beta_5 = 0 after 4 steps, and
     # a restart starts u_5 in the second block
     A, R, Q, b = block_restart_instance(rng)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=8, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=8, reorthogonalize=True)
     assert (fact.k, fact.breakdown, fact.betas[-1]) == (4, 4, 0.0)
     assert gengk.gengk_restart(fact, np.random.default_rng(0))
     assert fact.breakdown is None and fact.alphas[4] > 0.0
@@ -326,7 +326,7 @@ def test_restart_after_an_alpha_breakdown_keeps_the_relations(rng):
     P1, P2 = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
     A = P1 @ np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]) @ P2
     R, Q = random_spd(rng, 6, cond=10), random_spd(rng, 6)
-    fact = gengk.gengk(*wrap(A, R, Q), R @ P1[:, 5], k=6, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), R @ P1[:, 5], k=6, reorthogonalize=True)
     assert (fact.k, fact.breakdown, fact.alphas) == (0, 0, [0.0])
     assert gengk.gengk_restart(fact, np.random.default_rng(0))
     assert fact.breakdown is None and fact.V_matrix(1).shape == (6, 1)
@@ -342,8 +342,8 @@ def test_restart_after_an_alpha_breakdown_keeps_the_relations(rng):
 
 def test_restart_refuses_a_running_or_unreorthogonalized_factorization():
     ops = identity(2), identity(2), identity(2)
-    running = gengk.gengk(*ops, [3.0, 4.0], k=0, reorthogonalize=True)
-    unreorthogonalized = gengk.gengk(*ops, [3.0, 4.0], k=1)
+    running = run_gengk(*ops, [3.0, 4.0], k=0, reorthogonalize=True)
+    unreorthogonalized = run_gengk(*ops, [3.0, 4.0], k=1)
     assert running.breakdown is None and unreorthogonalized.breakdown == 1
     for fact in (running, unreorthogonalized):
         with pytest.raises(RuntimeError):

@@ -7,7 +7,7 @@ from dyninv import gengk, hybrid, oracle
 from dyninv.linop import DenseOperator, identity
 from dyninv.priorcov import PriorModel
 
-from conftest import random_problem
+from conftest import random_problem, run_gengk
 
 
 def wrap(A, R, Q):
@@ -34,8 +34,8 @@ def test_projected_matches_dense_normal_equations(rng):
     A = np.diag([1.0, 2.0])
     b = np.array([1.0, 1.0])
     lam = 1.0
-    fact = gengk.gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
-                       reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
+                     reorthogonalize=True)
     B = fact.bidiagonal()
     z = hybrid.ProjectedProblem(B, fact.beta1).solve(lam)
     s = fact.QV_matrix() @ z
@@ -163,7 +163,7 @@ def test_array_gcv_and_misfit_match_scalar_loop(rng):
 
 def _optimal_setup(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
     mu = rng.standard_normal(15)
     s_true = rng.standard_normal(15)
     return fact, mu, s_true
@@ -336,7 +336,7 @@ def test_search_stops_at_the_first_flat_round(f, s_max, calls):
 def test_select_lambda_optimal_self_consistent(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
     Aop, Rop, Qop = wrap(A, R, Q)
-    fact = gengk.gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
+    fact = run_gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     s_target = QV @ proj.solve(1.0)
@@ -398,7 +398,7 @@ def test_shift_invariance(rng):
     # one factorization serves all lambda values
     A, R, Q, b = random_problem(rng, 25, 20)
     Aop, Rop, Qop = wrap(A, R, Q)
-    fact = gengk.gengk(Aop, Rop, Qop, b, k=10, reorthogonalize=True)
+    fact = run_gengk(Aop, Rop, Qop, b, k=10, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     prior = PriorModel.zero_mean(Qop)
     for lam in (0.3, 3.0):

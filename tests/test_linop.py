@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from dyninv import linop
 from dyninv.errors import BudgetExceededError, ShapeError
 from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
-                          ScaledIdentityOperator, ScaledOperator, SparseOperator,
-                          identity, aslinearoperator)
+                          LinearOperator, ScaledIdentityOperator, ScaledOperator,
+                          SparseOperator, identity, aslinearoperator)
 
 from conftest import random_spd
 
@@ -97,8 +98,87 @@ def every_operator_type(rng):
         DiagonalOperator(rng.random(6) + 0.1),
         ScaledIdentityOperator(2.5, 6),
         KroneckerOperator(dense(n_t, n_t), dense(n_s, n_s)),
+        # the deblur workloads' shapes: A_t (x) (T_x (x) T_y), and A_s scaled
+        KroneckerOperator(dense(2, 3), KroneckerOperator(dense(3, 2), dense(4, 3))),
         ScaledOperator(-1.5, dense(4, 6)),
+        ScaledOperator(-1.5, KroneckerOperator(dense(3, 2), dense(2, 4))),
     ]
+
+
+def spd_operator_types(rng):
+    """One operator of each concrete type that supports solve()."""
+    return [
+        DenseOperator(random_spd(rng, 5)),
+        DiagonalOperator(rng.random(6) + 0.1),
+        ScaledIdentityOperator(2.5, 6),
+        KroneckerOperator(DenseOperator(random_spd(rng, 2)),
+                          KroneckerOperator(DenseOperator(random_spd(rng, 3)),
+                                            DenseOperator(random_spd(rng, 4)))),
+    ]
+
+
+def test_vector_is_one_column_block(rng):
+    # a vector action is column 0 of the block action on that one column, to
+    # the bit, and a 3-column block matches the dense matrix
+    for op in every_operator_type(rng):
+        x = rng.standard_normal(op.cols)
+        y = rng.standard_normal(op.rows)
+        assert np.array_equal(op.apply(x), op.apply_mat(x[:, None])[:, 0]), op
+        assert np.array_equal(op.apply_adjoint(y), op.apply_adjoint_mat(y[:, None])[:, 0]), op
+        dense = op.to_dense()
+        X = rng.standard_normal((op.cols, 3))
+        Y = rng.standard_normal((op.rows, 3))
+        npt.assert_allclose(op.apply_mat(X), dense @ X, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(op.apply_adjoint_mat(Y), dense.T @ Y, rtol=1e-12, atol=1e-12)
+    for op in spd_operator_types(rng):
+        b = rng.standard_normal(op.cols)
+        assert np.array_equal(op.solve(b), op.solve_mat(b[:, None])[:, 0]), op
+        B = rng.standard_normal((op.cols, 3))
+        npt.assert_allclose(op.solve_mat(B), np.linalg.solve(op.to_dense(), B),
+                            rtol=1e-10, atol=1e-12)
+
+
+class CountingOperator(LinearOperator):
+    """A dense operator that counts the calls of each block hook."""
+
+    def __init__(self, entries):
+        self.op = DenseOperator(entries)
+        super().__init__(*self.op.shape)
+        self.calls = {"apply": 0, "adjoint": 0, "solve": 0}
+
+    def _matmat(self, M):
+        self.calls["apply"] += 1
+        return self.op.apply_mat(M)
+
+    def _rmatmat(self, M):
+        self.calls["adjoint"] += 1
+        return self.op.apply_adjoint_mat(M)
+
+    def _solve_mat(self, M):
+        self.calls["solve"] += 1
+        return self.op.solve_mat(M)
+
+
+def test_nested_kronecker_acts_on_a_block_with_one_call_per_factor(rng):
+    factors = [CountingOperator(random_spd(rng, n)) for n in (2, 3, 4)]
+    K = KroneckerOperator(factors[0], KroneckerOperator(factors[1], factors[2]))
+    dense = np.kron(factors[0].op.entries,
+                    np.kron(factors[1].op.entries, factors[2].op.entries))
+    M = rng.standard_normal((K.cols, 5))
+    npt.assert_allclose(K.apply_mat(M), dense @ M, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(K.apply_adjoint_mat(M), dense.T @ M, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(K.solve_mat(M), np.linalg.solve(dense, M), rtol=1e-9, atol=1e-10)
+    for f in factors:
+        assert f.calls == {"apply": 1, "adjoint": 1, "solve": 1}
+
+
+def test_operators_have_block_hooks_only():
+    # one hook per action: no class of the module keeps a vector path
+    classes = [c for c in vars(linop).values()
+               if isinstance(c, type) and issubclass(c, LinearOperator)]
+    assert KroneckerOperator in classes
+    for cls in classes:
+        assert not {"_matvec", "_rmatvec", "_solve"} & set(vars(cls)), cls
 
 
 def test_adjoint_consistency_all_types(rng):

@@ -4,10 +4,9 @@ import pytest
 
 from dyninv.errors import BudgetExceededError, ParameterError
 from dyninv import hybrid, oracle
-from dyninv import gengk
 from dyninv.linop import DenseOperator, identity
 
-from conftest import random_problem
+from conftest import random_problem, run_gengk
 
 
 def identity_problem(n, d, lam):
@@ -117,8 +116,8 @@ def test_gcv_full_vs_projected_at_full_rank(rng):
     A, R, Q, _ = random_problem(rng, m, n)
     s_true = rng.standard_normal(n)
     d = A @ s_true + 0.05 * rng.standard_normal(m)
-    fact = gengk.gengk(DenseOperator(A), DenseOperator(R), DenseOperator(Q), d,
-                       k=n, reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), DenseOperator(R), DenseOperator(Q), d,
+                     k=n, reorthogonalize=True)
     B = fact.bidiagonal()
     proj = hybrid.ProjectedProblem(B, fact.beta1)
     s_max = proj.s[0]

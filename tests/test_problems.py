@@ -23,6 +23,20 @@ def test_blur_rows_normalized():
         problems.gaussian_blur_1d(5, 0.07, 5)
 
 
+def test_blur_matches_row_loop():
+    # reference: entry (i, j) is the kernel at |i - j|, built one row at a time
+    for n, sigma, bandwidth, spacing in [(20, 0.07, 3, None), (9, 1.5, 8, 1.0)]:
+        h = 1.0 / n if spacing is None else spacing
+        offsets = np.arange(n)
+        kernel = np.exp(-((offsets * h) ** 2) / (2.0 * sigma ** 2))
+        kernel[bandwidth:] = 0.0
+        T = np.empty((n, n))
+        for i in range(n):
+            T[i, :] = kernel[np.abs(offsets - i)]
+        T /= T.sum(axis=1, keepdims=True)
+        npt.assert_array_equal(problems.gaussian_blur_1d(n, sigma, bandwidth, spacing), T)
+
+
 def test_deblur_noiseless_data():
     inst = problems.gen_dynamic_deblur(6, 6, 3, noise_level=0.0, seed=1)
     npt.assert_array_equal(inst.d, inst.A.apply(inst.s_true))

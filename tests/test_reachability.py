@@ -22,14 +22,28 @@ def public_defs(node):
             and not child.name.startswith("_")]
 
 
+def module_bindings(tree):
+    """Names that ``from dyninv import m`` or ``from . import m as x`` bind to a
+    library module: such a name refers to the module, not to a same-named
+    function in it."""
+    modules = {path.stem for path in LIBRARY.glob("*.py")}
+    return {alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "dyninv" or (node.level and node.module is None))
+            for alias in node.names if alias.name in modules}
+
+
 def test_every_public_name_is_used_outside_its_definition():
     uses = []      # (path, line, identifier) of each Name and Attribute node
     defined = []   # (path, qualified name, public def or class node)
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
+        module_names = module_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.append((path, node.lineno, node.id))
+                if node.id not in module_names:
+                    uses.append((path, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 uses.append((path, node.lineno, node.attr))
         if path.parent == LIBRARY and path.stem not in EXEMPT_MODULES:

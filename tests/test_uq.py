@@ -10,7 +10,7 @@ from dyninv import decoupled, gengk, hybrid, oracle, uq
 from dyninv.linop import DenseOperator, DiagonalOperator, SparseOperator, identity
 
 from conftest import (block_restart_instance, random_orthogonal, random_problem,
-                      random_spd)
+                      random_spd, run_gengk)
 
 
 def wrap(A, R, Q):
@@ -26,7 +26,7 @@ def posterior_matvec(approx, v):
 
 
 def test_identity_scalar_posterior():
-    fact = gengk.gengk(identity(1), identity(1), identity(1), [1.0], k=1)
+    fact = run_gengk(identity(1), identity(1), identity(1), [1.0], k=1)
     approx = uq.build_posterior_approx(fact, identity(1), lam=1.0)
     var = uq.variance_diag(approx)
     npt.assert_allclose(var, [0.5], rtol=1e-14)
@@ -42,7 +42,7 @@ def test_k0_is_pure_prior(rng):
 
 
 def test_lam_zero_rejected():
-    fact = gengk.gengk(identity(2), identity(2), identity(2), [1.0, 0.0], k=1)
+    fact = run_gengk(identity(2), identity(2), identity(2), [1.0, 0.0], k=1)
     with pytest.raises(ParameterError):
         uq.build_posterior_approx(fact, identity(2), lam=0.0)
 
@@ -51,7 +51,7 @@ def test_full_rank_matches_dense_posterior(rng):
     m, n = 25, 18
     A, R, Q, b = random_problem(rng, m, n)
     lam = 0.9
-    fact = gengk.gengk(*wrap(A, R, Q), b, k=n, reorthogonalize=True)
+    fact = run_gengk(*wrap(A, R, Q), b, k=n, reorthogonalize=True)
     approx = uq.build_posterior_approx(fact, DenseOperator(Q), lam)
     var = uq.variance_diag(approx)
     exact = np.diag(oracle.dense_posterior(
@@ -69,7 +69,7 @@ def test_deflation_bound_and_monotone(rng):
     lam = 1.1
     Aop, Rop, Qop = wrap(A, R, Q)
     prior_var = np.diag(Q) / lam ** 2
-    fact = gengk.gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
+    fact = run_gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
     approx = uq.build_posterior_approx(fact, Qop, lam)
     # Ritz values come out in descending order, so truncating the pair list
     # at increasing rank subtracts one PSD rank-one term at a time
@@ -92,8 +92,8 @@ def test_decoupled_variance_diagonal_forward():
     facts = {}
     for i in range(plan.n_t):
         op = decoupled.ScaledOperator(plan.sigmas[i], plan.A_s)
-        facts[i] = gengk.gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=3,
-                               reorthogonalize=True)
+        facts[i] = run_gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=3,
+                             reorthogonalize=True)
     var = uq.decoupled_variance_diag(plan, facts, lam=1.0)
     npt.assert_allclose(var[:, 0], [0.5, 0.2, 0.1], rtol=1e-12)
 
@@ -123,8 +123,8 @@ def test_decoupled_variance_matches_dense(rng):
             facts[i] = None
             continue
         op = decoupled.ScaledOperator(plan.sigmas[i], plan.A_s)
-        facts[i] = gengk.gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=n_s,
-                               reorthogonalize=True)
+        facts[i] = run_gengk(op, plan.R_s, plan.Q_s, plan.rhs(i), k=n_s,
+                             reorthogonalize=True)
     var = uq.decoupled_variance_diag(plan, facts, lam)
     exact = np.diag(oracle.dense_posterior(oracle.DenseProblem(
         np.kron(At, As), np.kron(Rt, Rs), np.kron(Qt, Qs), d, lam=lam)))
@@ -205,8 +205,8 @@ def test_blocked_variance_matches_the_one_shot_downdate(rng, monkeypatch, lam, k
     G = np.linalg.qr(rng.standard_normal((n, m)))[0].T
     A = DenseOperator(np.logspace(2, -6, m)[:, None] * G)
     Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
-    fact = gengk.gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
-                       reorthogonalize=True)
+    fact = run_gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+                     reorthogonalize=True)
     approx = uq.build_posterior_approx(fact, Q, lam)
     k_kept = approx.W.shape[1]
     assert approx.W.shape[0] == k
@@ -228,8 +228,8 @@ def test_variance_needs_no_n_by_k_temporaries():
     rng = np.random.default_rng(3)
     A = SparseOperator(sp.random(m, n, density=2e-3, random_state=rng))
     Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
-    fact = gengk.gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
-                       reorthogonalize=True)
+    fact = run_gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+                     reorthogonalize=True)
     assert fact.k == k
     tracemalloc.start()
     try:
