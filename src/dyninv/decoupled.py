@@ -4,8 +4,8 @@ When A = A_t (x) A_s, R = R_t (x) R_s, and Q = Q_t (x) Q_s, a sequence of
 variable changes turns the normal equations into n_t independent spatial
 problems, one per singular value of the transformed temporal operator
 R_t^{-1/2} A_t L_t^T (with Q_t = L_t^T L_t).  Each subproblem is solved with
-the simultaneous hybrid solver; the per-time solutions are recombined via
-X = Z V_t^T L_t^{-T} and S = Q_s X Q_t^T.
+the simultaneous hybrid solver, whose zero-mean solutions Q_s z_i are
+recombined via S = (Q_s Z) V_t^T L_t^{-T} Q_t^T.
 
 The subproblems are independent and may run in parallel.
 """
@@ -149,7 +149,7 @@ def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
 
 def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
                      options: hybrid.SolverOptions | None = None):
-    """Solve the i-th (0-based) spatial subproblem; returns (z_i, result-or-None).
+    """Solve the i-th (0-based) spatial subproblem; returns (Q_s z_i, result-or-None).
 
     Zero singular values yield z_i = 0 exactly without running the solver.
     """
@@ -160,18 +160,17 @@ def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
     op = ScaledOperator(plan.sigmas[i], plan.A_s)
     prior = PriorModel.zero_mean(plan.Q_s)
     res = hybrid.genhybr_solve(op, plan.R_s, prior, plan.rhs(i), strategy, options)
-    # the subproblem unknown is the transformed coefficient vector, not s
-    return res.x, res
+    # with a zero prior mean the subproblem's s is Q_s z_i
+    return res.s, res
 
 
-def recombine(plan: DecoupledPlan, Z) -> np.ndarray:
-    """Undo the changes of variables: X = Z V_t' L_t^{-T}, S = mu + Q_s X Q_t'."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (plan.n_s, plan.n_t):
-        raise ShapeError(f"Z has shape {Z.shape}, expected {(plan.n_s, plan.n_t)}")
-    X = sla.solve_triangular(plan.Lt, (Z @ plan.Vt.T).T, lower=False).T
-    S = plan.Q_s.apply_mat(X) @ plan.Qt.T
-    return plan.mu.reshape(plan.n_s, plan.n_t, order="F") + S
+def recombine(plan: DecoupledPlan, QZ) -> np.ndarray:
+    """Undo the changes of variables on QZ = Q_s Z: S = mu + QZ V_t' L_t^{-T} Q_t'."""
+    QZ = np.asarray(QZ, dtype=float)
+    if QZ.shape != (plan.n_s, plan.n_t):
+        raise ShapeError(f"QZ has shape {QZ.shape}, expected {(plan.n_s, plan.n_t)}")
+    QX = sla.solve_triangular(plan.Lt, (QZ @ plan.Vt.T).T, lower=False).T
+    return plan.mu.reshape(plan.n_s, plan.n_t, order="F") + QX @ plan.Qt.T
 
 
 def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
@@ -206,5 +205,5 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     else:
         results = [run(i) for i in range(plan.n_t)]
 
-    S = recombine(plan, np.column_stack([z for z, _ in results]))
+    S = recombine(plan, np.column_stack([s for s, _ in results]))
     return DecoupledResult(S=S, sub_results=[r for _, r in results])

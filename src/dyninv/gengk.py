@@ -85,11 +85,6 @@ class GenGKFactorization:
         B[np.arange(1, k + 1), np.arange(k)] = self.betas[:k]
         return B
 
-    def V_matrix(self, k: int | None = None) -> np.ndarray:
-        """View of v_1 .. v_k."""
-        k = self.k if k is None else k
-        return self._V[:, :min(k, self._nv)]
-
     def QV_matrix(self, k: int | None = None) -> np.ndarray:
         """View of Q v_1 .. Q v_k."""
         k = self.k if k is None else k

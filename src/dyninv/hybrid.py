@@ -5,6 +5,8 @@ small regularized bidiagonal least-squares problem, selects the regularization
 parameter automatically per iteration (weighted GCV, which is plain GCV at
 weight 1, a fixed value, or the truth-based optimal parameter), and recovers
 the reconstruction by undoing the change of variables: s_k = mu + Q V_k z_k.
+Given a truth, one Gram matrix of Q V_k (``TruthError``) gives the masked
+error at every lambda: Optimal minimizes it, and ``rel_error`` reports it.
 """
 
 from __future__ import annotations
@@ -152,19 +154,26 @@ class ProjectedProblem:
         return self.k * self._residual_sq(psi) / denom ** 2
 
 
-class OptimalError:
-    """The error ||mu + Q V_k z(lam) - s_true|| of the Optimal strategy,
-    evaluated without forming an n-vector per lambda.
+class TruthError:
+    """The error ||P (mu + Q V_k z(lam) - s_true)|| of a solve with a known
+    truth, evaluated without forming an n-vector per lambda.
 
-    With r0 = mu - s_true, G = (Q V)'(Q V) and g = (Q V)' r0, a projected
+    P is the 0/1 diagonal of ``mask``, or the identity without one.  With
+    r0 = P (mu - s_true), G = (Q V)' P (Q V) and g = (Q V)' r0, a projected
     problem with z(lam) = Vt' f(lam) has
     err(lam)^2 = ||r0||^2 + 2 h' f + f' M f, where M = Vt G Vt' and h = Vt g.
     G and g grow by one column per gen-GK step at O(n) cost per entry.
     """
 
-    def __init__(self, r0, max_steps: int):
-        self.r0 = np.asarray(r0, dtype=float).ravel()
+    def __init__(self, mu, s_true, max_steps: int, mask=None):
+        s_true = np.asarray(s_true, dtype=float).ravel()
+        self.r0 = np.asarray(mu, dtype=float).ravel() - s_true
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool).ravel()
+        if self.mask is not None:
+            self.r0 *= self.mask
+            s_true = s_true[self.mask]
         self.r0_sq = float(self.r0 @ self.r0)
+        self.true_norm = np.linalg.norm(s_true)  # ||P s_true||; numpy float: x/0 = inf
         self.G = np.empty((max_steps, max_steps))
         self.g = np.empty(max_steps)
         self.k = 0
@@ -174,6 +183,8 @@ class OptimalError:
         columns are the ones already seen."""
         k0, k = self.k, QV.shape[1]
         new = QV[:, k0:k]
+        if self.mask is not None:
+            new = new * self.mask[:, None]  # P new; P is idempotent
         self.G[:k, k0:k] = QV.T @ new
         self.G[k0:k, :k0] = self.G[:k0, k0:k].T
         self.g[k0:k] = new.T @ self.r0
@@ -183,7 +194,7 @@ class OptimalError:
         """err(lam) for ``proj``, for one lambda or an array of them."""
         k = proj.k
         if k > self.k:
-            raise ParameterError(f"OptimalError holds {self.k} columns of Q V, "
+            raise ParameterError(f"TruthError holds {self.k} columns of Q V, "
                                  f"the projected problem needs {k}")
         M = proj.Vt @ self.G[:k, :k] @ proj.Vt.T
         h2 = 2.0 * (proj.Vt @ self.g[:k])
@@ -233,12 +244,11 @@ def minimize_over_lambda(f, s_max: float) -> float:
     return best_lam
 
 
-def select_lambda(strategy, proj: ProjectedProblem,
-                  error: OptimalError | None = None) -> float:
+def select_lambda(strategy, proj: ProjectedProblem, error=None) -> float:
     """Pick the iteration's regularization parameter under a strategy.
 
-    Optimal needs ``error``, an ``OptimalError`` that holds at least the
-    ``proj.k`` columns of Q V_k.
+    Optimal needs ``error``, the truth error of ``proj`` as a function of
+    lambda (``TruthError.objective``), and minimizes it.
     """
     if isinstance(strategy, Fixed):
         return strategy.lam
@@ -247,8 +257,8 @@ def select_lambda(strategy, proj: ProjectedProblem,
         return minimize_over_lambda(lambda l: proj.gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
         if error is None:
-            raise ParameterError("Optimal strategy requires an OptimalError")
-        return minimize_over_lambda(error.objective(proj), s_max)
+            raise ParameterError("Optimal strategy requires its error objective")
+        return minimize_over_lambda(error, s_max)
     raise ParameterError(f"unknown regularization strategy {strategy!r}")
 
 
@@ -269,6 +279,7 @@ class SolverOptions:
     # for FLAT_PATIENCE consecutive iterations
     gcv_flat_tol: float = 1e-6
     lam_stag_tol: float = 0.01
+    # entries of s that rel_error and the Optimal search count; None counts all
     error_mask: np.ndarray | None = None
 
 
@@ -284,7 +295,7 @@ class Iteration:
     misfit: float              # ||B_k z - beta1 e1||
     qnorm: float               # ||z|| = ||x||_Q
     gcv: float                 # (weighted) GCV value at lam
-    rel_error: float | None    # against s_true; None without a truth
+    rel_error: float | None    # against the truth on error_mask; None without one
     wall_s: float              # the whole iteration
     step_s: float              # gengk_step, plus initialization on the first
 
@@ -292,7 +303,6 @@ class Iteration:
 @dataclass
 class SolverResult:
     s: np.ndarray
-    x: np.ndarray
     lam: float
     history: list              # one Iteration per iteration
     stop_reason: str
@@ -348,9 +358,13 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     """Simultaneous genHyBR: gen-GK on b = d - A mu plus projected regularization.
 
     Stops on max iterations, gen-GK breakdown, or GCV flatness / lambda
-    stagnation (WGCV only).
+    stagnation (WGCV only).  Under Optimal, s_true must be None or its truth.
     """
     opts = options or SolverOptions()
+    if isinstance(strategy, Optimal):
+        if s_true is not None and not np.array_equal(s_true, strategy.s_true):
+            raise ParameterError("s_true differs from the Optimal strategy's truth")
+        s_true = strategy.s_true
     d = np.asarray(d, dtype=float).ravel()
     mu = prior.mean
     Q = prior.Q
@@ -362,10 +376,9 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
     fact = gk.gengk_init(A, R, Q, b, max_steps,
                          reorthogonalize=opts.reorthogonalize)
     init_time = time.perf_counter() - t0
-    error = None
-    if isinstance(strategy, Optimal):
-        error = OptimalError(mu - np.asarray(strategy.s_true, dtype=float).ravel(),
-                             max_steps)
+    error = None if s_true is None else TruthError(mu, s_true, max_steps,
+                                                   opts.error_mask)
+    err = None
 
     history = []
     # alpha_1 = 0 at initialization ends the solve before its first step
@@ -380,17 +393,16 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         k = fact.k
 
         proj = ProjectedProblem(fact.bidiagonal(k), fact.beta1)
-        QV = fact.QV_matrix(k)
         if error is not None:
-            error.extend(QV)
-        lam = select_lambda(strategy, proj, error)
+            error.extend(fact.QV_matrix(k))
+            err = error.objective(proj)
+        lam = select_lambda(strategy, proj, err)
         z = proj.solve(lam)
         history.append(Iteration(
             lam=lam, misfit=proj.misfit(lam),
             qnorm=float(np.linalg.norm(z)),  # ||x||_Q equals ||z|| in the gen-GK basis
             gcv=proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0),
-            rel_error=(None if s_true is None
-                       else relative_error(mu + QV @ z, s_true, opts.error_mask)),
+            rel_error=None if err is None else float(err(lam) / error.true_norm),
             wall_s=time.perf_counter() - t_it, step_s=step_s))
 
         if fact.breakdown is not None:
@@ -400,12 +412,6 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         elif k >= opts.max_iter:
             stop_reason = "max-iter"
 
-    if z.size:
-        x = fact.V_matrix() @ z
-        s = mu + fact.QV_matrix() @ z
-    else:
-        x = np.zeros(A.cols)
-        s = mu.copy()
-
-    return SolverResult(s=s, x=x, lam=lam, history=history,
+    s = mu + fact.QV_matrix() @ z if z.size else mu.copy()
+    return SolverResult(s=s, lam=lam, history=history,
                         stop_reason=stop_reason, factorization=fact)

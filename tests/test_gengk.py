@@ -23,7 +23,7 @@ def test_init_identity_operators():
     # u_1 beta_1 = b, so u_1 = [0.6, 0.8]
     assert gengk.krylov_basis_span_check(fact)["resid_b"] <= 1e-15
     assert fact.alphas[0] == pytest.approx(1.0)
-    npt.assert_allclose(fact.V_matrix(1)[:, 0], [0.6, 0.8])
+    npt.assert_allclose(fact.QV_matrix(1)[:, 0], [0.6, 0.8])
 
 
 def test_init_weighted_norm():
@@ -194,10 +194,8 @@ def test_diagnostics_rows_report_each_prefix(tmp_path, rng):
 def test_basis_accessors_are_views(rng):
     A, R, Q, b = random_problem(rng, 12, 10)
     fact = run_gengk(*wrap(A, R, Q), b, k=4, reorthogonalize=True)
-    for first, second in [(fact.V_matrix(), fact.V_matrix(2)),
-                          (fact.QV_matrix(), fact.QV_matrix(2))]:
-        assert np.shares_memory(first, second)
-    assert fact.V_matrix().shape == fact.QV_matrix().shape == (10, 4)
+    assert np.shares_memory(fact.QV_matrix(), fact.QV_matrix(2))
+    assert fact.QV_matrix().shape == (10, 4)
 
 
 def test_stepping_past_max_steps_raises(rng):
@@ -329,7 +327,7 @@ def test_restart_after_an_alpha_breakdown_keeps_the_relations(rng):
     fact = run_gengk(*wrap(A, R, Q), R @ P1[:, 5], k=6, reorthogonalize=True)
     assert (fact.k, fact.breakdown, fact.alphas) == (0, 0, [0.0])
     assert gengk.gengk_restart(fact, np.random.default_rng(0))
-    assert fact.breakdown is None and fact.V_matrix(1).shape == (6, 1)
+    assert fact.breakdown is None and fact.QV_matrix(1).shape == (6, 1)
     while fact.breakdown is None and fact.k < 6:
         gengk.gengk_step(fact)
     assert fact.bidiagonal()[0, 0] == 0.0

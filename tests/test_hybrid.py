@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from dyninv.errors import ParameterError
-from dyninv import gengk, hybrid, oracle
-from dyninv.linop import DenseOperator, identity
+from dyninv import gengk, hybrid, oracle, problems
+from dyninv import priorcov as pc
+from dyninv.linop import DenseOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
 
 from conftest import random_problem, run_gengk
@@ -169,23 +170,27 @@ def _optimal_setup(rng):
     return fact, mu, s_true
 
 
-def test_optimal_error_matches_direct_evaluation(rng):
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_optimal_error_matches_direct_evaluation(rng, masked):
     fact, mu, s_true = _optimal_setup(rng)
-    error = hybrid.OptimalError(mu - s_true, fact.k)
+    mask = rng.random(s_true.size) < 0.5 if masked else None
+    keep = slice(None) if mask is None else mask
+    error = hybrid.TruthError(mu, s_true, fact.k, mask)
     for k in range(1, fact.k + 1):
         QV = fact.QV_matrix(k)
         error.extend(QV)  # one column at a time, as the solver does
         proj = hybrid.ProjectedProblem(fact.bidiagonal(k), fact.beta1)
         grid = np.logspace(np.log10(1e-12 * proj.s[0]), np.log10(1e3 * proj.s[0]),
                            200)
-        direct = [np.linalg.norm(mu + QV @ proj.solve(l) - s_true) for l in grid]
+        direct = [np.linalg.norm((mu + QV @ proj.solve(l) - s_true)[keep])
+                  for l in grid]
         npt.assert_allclose(error.objective(proj)(grid), direct, rtol=1e-10)
 
 
 def test_optimal_selection_matches_direct_closure(rng):
     fact, mu, s_true = _optimal_setup(rng)
     QV = fact.QV_matrix()
-    error = hybrid.OptimalError(mu - s_true, fact.k)
+    error = hybrid.TruthError(mu, s_true, fact.k)
     error.extend(QV)
     for k in (1, 4, 9, fact.k):
         proj = hybrid.ProjectedProblem(fact.bidiagonal(k), fact.beta1)
@@ -202,7 +207,8 @@ def test_optimal_selection_matches_direct_closure(rng):
             return direct(lam)
 
         s_max = proj.s[0]
-        lam_gram = hybrid.select_lambda(hybrid.Optimal(s_true), proj, error=error)
+        lam_gram = hybrid.select_lambda(hybrid.Optimal(s_true), proj,
+                                        error=error.objective(proj))
         lam_direct = hybrid.minimize_over_lambda(oracle_closure, s_max)
         # compare errors, not lambdas: the error can be flat in lambda
         assert direct(lam_gram) == pytest.approx(direct(lam_direct), rel=1e-12)
@@ -340,9 +346,10 @@ def test_select_lambda_optimal_self_consistent(rng):
     proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
     s_target = QV @ proj.solve(1.0)
-    error = hybrid.OptimalError(-s_target, fact.k)  # mu = 0
+    error = hybrid.TruthError(np.zeros(QV.shape[0]), s_target, fact.k)
     error.extend(QV)
-    lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj, error=error)
+    lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj,
+                               error=error.objective(proj))
     err = np.linalg.norm(QV @ proj.solve(lam) - s_target)
     assert err <= 1e-6 * np.linalg.norm(s_target)
 
@@ -460,6 +467,51 @@ def test_gcv_flat_stop_fires_on_the_first_run_of_three(seed, wgcv_iters, gcv_ite
                 for i in range(1, iters)]
         runs = [all(flat[i - 3:i]) for i in range(3, len(flat) + 1)]
         assert runs[-1] and not any(runs[:-1])
+
+
+def _space_time_prior(nx, n_t, mean):
+    pts = pc.PointSet.from_coords((np.arange(nx) + 0.5) / nx)
+    Qx = pc.build_kernel_matrix(pc.MaternKernel(1.5, 0.1), pts)
+    Qt, _ = pc.build_minij_prior(n_t)
+    Q = KroneckerOperator(Qt, KroneckerOperator(Qx, Qx))
+    return PriorModel(np.full(Q.cols, mean), Q)
+
+
+@pytest.mark.parametrize("kind, strategy", [("deblur", "optimal"),
+                                            ("deblur", "fixed"),
+                                            ("tomography", "optimal")])
+def test_rel_error_matches_the_reconstruction_at_every_iteration(kind, strategy):
+    if kind == "deblur":
+        inst = problems.gen_dynamic_deblur(8, 8, 3, seed=1)
+        prior, mask = _space_time_prior(8, 3, 0.1), None
+    else:
+        inst = problems.gen_ray_tomography(8, 8, 3, rays_per_time=5, seed=1)
+        prior = _space_time_prior(8, 3, 0.0)
+        mask = np.tile(inst.meta["mask"], 3)
+        assert not mask.all()
+    chosen = (hybrid.Optimal(inst.s_true) if strategy == "optimal"
+              else hybrid.Fixed(0.5))
+    res = hybrid.genhybr_solve(inst.A, inst.R, prior, inst.d, chosen,
+                               hybrid.SolverOptions(max_iter=12, error_mask=mask),
+                               s_true=inst.s_true)
+    fact = res.factorization
+    for i, it in enumerate(res.history, 1):
+        z = hybrid.ProjectedProblem(fact.bidiagonal(i), fact.beta1).solve(it.lam)
+        direct = hybrid.relative_error(prior.mean + fact.QV_matrix(i) @ z,
+                                       inst.s_true, mask)
+        assert it.rel_error == pytest.approx(direct, rel=1e-10)
+
+
+def test_a_solve_has_one_truth(rng):
+    A, R, Q, _ = random_problem(rng, 20, 15)
+    truth = rng.standard_normal(15)
+    args = (DenseOperator(A), DenseOperator(R), PriorModel.zero_mean(DenseOperator(Q)),
+            A @ truth, hybrid.Optimal(truth), hybrid.SolverOptions(max_iter=4))
+    with pytest.raises(ParameterError):
+        hybrid.genhybr_solve(*args, s_true=truth + 1.0)
+    res = hybrid.genhybr_solve(*args, s_true=truth)
+    assert [it.rel_error for it in res.history] == [
+        it.rel_error for it in hybrid.genhybr_solve(*args).history]
 
 
 def test_convergence_csv(tmp_path, rng):
