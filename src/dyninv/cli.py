@@ -7,7 +7,8 @@ field), ``oracle`` (dense reference solves for debugging), and ``kernel-eval``
 
 Configuration is a flat INI file with typed key-value pairs under section
 headers; every key can be overridden on the command line as
-``--section.key=value``.  Each run writes a manifest capturing the resolved
+``--section.key=value``, and a key that no section table names is a
+validation error.  Each run writes a manifest capturing the resolved
 configuration, sufficient to reproduce outputs bitwise (modulo wall-time
 fields).  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -16,16 +17,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import dataclasses
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import decoupled, hybrid, io as dio, oracle, priorcov, problems, uq
 from .errors import (BudgetExceededError, ConditioningError, DegenerateInputError,
                      ParameterError, ShapeError)
-from .linop import KroneckerOperator, identity
+from .linop import DenseOperator, KroneckerOperator, identity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,8 +45,74 @@ _NUMERICAL_ERRORS = (ConditioningError, BudgetExceededError,
 # Configuration
 # ----------------------------------------------------------------------
 
+class Key(NamedTuple):
+    """A config key's type, the library parameter it sets (None: the one of
+    the key's name) and the CLI's default, given only where that parameter
+    has none in the library; a key without one is passed only when set."""
+
+    type: type
+    param: str | None = None
+    default: object = None
+
+
+# One table per section, naming each key once.  [problem] also takes the
+# keys of its generator, each that generator's keyword of the same name.
+GENERATORS = {
+    "deblur": (problems.gen_dynamic_deblur, dict(
+        spatial_sigma=float, spatial_bandwidth=int, temporal_sigma=float,
+        temporal_bandwidth=int, noise_level=float, seed=int)),
+    "tomography": (problems.gen_ray_tomography, dict(
+        rays_per_time=int, noise_sigma=float, coverage_threshold=int, seed=int)),
+    "rotating": (problems.gen_rotating_gaussians, dict(
+        radii_count=int, noise_level=float, width=float, orbit_radius=float,
+        revolutions=float, seed=int)),
+}
+# [prior] spatial and kernel-eval --family; a kernel's fields are its keys
+DEFAULT_KERNEL = "matern"
+KERNELS = {DEFAULT_KERNEL: priorcov.MaternKernel,
+           "gamma_exp": priorcov.GammaExpKernel}
+SECTIONS = {
+    "problem": {
+        "path": Key(str),                  # problems.load_instance
+        "generator": Key(str),             # a GENERATORS name
+        "nx": Key(int), "ny": Key(int), "n_t": Key(int),
+    },
+    "prior": {
+        "structure": Key(str, default="kron"),        # or nonseparable
+        "spatial": Key(str, default=DEFAULT_KERNEL),  # a KERNELS name or identity
+        "nu": Key(float, default=1.0),                # MaternKernel
+        "gamma": Key(float, default=1.0),             # GammaExpKernel
+        "ell": Key(float, default=0.1),               # either kernel
+        "nugget": Key(float),           # build_kernel_matrix, build_nonseparable_Q
+        "c1": Key(float), "c2": Key(float),           # NonseparableKernel
+        "mean": Key(float, default=0.0),              # each entry of PriorModel.mean
+        "temporal": Key(str, default="identity"),     # or minij, fd, kernel
+        "temporal_nu": Key(float, "nu", 1.5),         # MaternKernel of Q_t
+        "temporal_ell": Key(float, "ell", 0.3),
+        "fd_gamma": Key(float, "gamma", 1e-3),        # build_fd_temporal
+    },
+    "solver": {
+        "method": Key(str, default="simultaneous"),   # or decoupled
+        "strategy": Key(str, default="wgcv"),         # or fixed, gcv, optimal
+        "lambda": Key(float, "lam"),                  # Fixed, oracle.DenseProblem
+        "wgcv_weight": Key(float, "w"),               # WGCV
+        "max_iter": Key(int),                         # SolverOptions
+        "reorth": Key(bool, "reorthogonalize"),
+        "per_time_lambda": Key(bool),                 # decoupled.decoupled_solve
+    },
+    "uq": {                                           # uq.restarted_variance_diag
+        "lambda": Key(float, "lam"), "rank": Key(int, default=20)},
+    "output": {"dir": Key(str, default="dyninv_out")},
+}
+# sections a run adds to its manifest.ini, ignored when one is read back
+MANIFEST_SECTIONS = ("instance", "run")
+
+
 class RunConfig:
-    """Typed view over the INI sections with command-line overrides applied."""
+    """Typed view over the INI sections with command-line overrides applied.
+
+    A key that its section's table does not know raises ``ParameterError``.
+    """
 
     def __init__(self, path=None, overrides=()):
         self.cfg = configparser.ConfigParser()
@@ -59,37 +129,46 @@ class RunConfig:
                 self.cfg.add_section(section)
             self.cfg.set(section, name, value)
 
-    def get(self, section, key, default=None, type_=str):
-        if not self.cfg.has_option(section, key):
-            if default is None and type_ is not str:
-                return None
-            return default
-        raw = self.cfg.get(section, key)
-        if type_ is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return type_(raw)
+        self.keys = dict(SECTIONS)
+        gen = self.cfg.get("problem", "generator", fallback=None)
+        if gen is not None:
+            if gen not in GENERATORS:
+                raise ParameterError(f"unknown generator {gen!r}")
+            self.keys["problem"] = {**SECTIONS["problem"], **{
+                key: Key(type_) for key, type_ in GENERATORS[gen][1].items()}}
+        for section in self.cfg.sections():
+            unknown = set(self.cfg[section]) - set(self.keys.get(section, ()))
+            if unknown and section not in MANIFEST_SECTIONS:
+                raise ParameterError(f"unknown config key [{section}] {min(unknown)}")
 
-    def require(self, section, key, type_=str):
+    def get(self, section, key):
+        spec = self.keys[section][key]
+        if not self.cfg.has_option(section, key):
+            return spec.default
+        if spec.type is bool:
+            return self.cfg.getboolean(section, key)
+        return spec.type(self.cfg.get(section, key))
+
+    def require(self, section, key):
         if not self.cfg.has_option(section, key):
             raise ParameterError(f"missing required config field [{section}] {key}")
-        return self.get(section, key, type_=type_)
+        return self.get(section, key)
 
-    def write_manifest(self, directory, extra=None):
+    def kwargs(self, section, *keys):
+        """Keyword arguments for the library parameters that ``keys`` set,
+        leaving out each key the config lacks and the CLI has no default for."""
+        return {self.keys[section][key].param or key: value for key in keys
+                if (value := self.get(section, key)) is not None}
+
+    def write_manifest(self, directory, command):
         os.makedirs(directory, exist_ok=True)
         out = configparser.ConfigParser()
         # preserve anything already recorded there (e.g. instance metadata)
         out.read(os.path.join(directory, "manifest.ini"))
         out.read_dict({s: dict(self.cfg[s]) for s in self.cfg.sections()})
-        if extra:
-            out.read_dict(extra)
+        out["run"] = {"command": command}
         with open(os.path.join(directory, "manifest.ini"), "w") as fh:
             out.write(fh)
-
-
-def _output_dir(cfg: RunConfig) -> str:
-    root = os.environ.get("DYNINV_OUTPUT_ROOT", "")
-    d = cfg.get("output", "dir", "dyninv_out")
-    return os.path.join(root, d) if root else d
 
 
 # ----------------------------------------------------------------------
@@ -98,79 +177,40 @@ def _output_dir(cfg: RunConfig) -> str:
 
 def load_problem(cfg: RunConfig) -> problems.ProblemInstance:
     path = cfg.get("problem", "path")
-    gen = cfg.get("problem", "generator")
-    if path is None and gen is None:
-        raise ParameterError("one of [problem] path or generator is required")
     if path is not None:  # an on-disk instance wins over a generator recipe
         return problems.load_instance(path)
+    if cfg.get("problem", "generator") is None:
+        raise ParameterError("one of [problem] path or generator is required")
     return generate_problem(cfg)
 
 
 def generate_problem(cfg: RunConfig) -> problems.ProblemInstance:
-    gen = cfg.require("problem", "generator")
-    nx = cfg.require("problem", "nx", int)
-    ny = cfg.require("problem", "ny", int)
-    n_t = cfg.require("problem", "n_t", int)
-    seed = cfg.get("problem", "seed", 0, int)
-    if gen == "deblur":
-        return problems.gen_dynamic_deblur(
-            nx, ny, n_t,
-            spatial_sigma=cfg.get("problem", "spatial_sigma", 0.07, float),
-            spatial_bandwidth=cfg.get("problem", "spatial_bandwidth", 3, int),
-            temporal_sigma=cfg.get("problem", "temporal_sigma", 1.0, float),
-            temporal_bandwidth=cfg.get("problem", "temporal_bandwidth", 3, int),
-            noise_level=cfg.get("problem", "noise_level", 0.02, float),
-            seed=seed)
-    if gen == "tomography":
-        return problems.gen_ray_tomography(
-            nx, ny, n_t,
-            rays_per_time=cfg.get("problem", "rays_per_time", 200, int),
-            noise_sigma=cfg.get("problem", "noise_sigma", 0.0015, float),
-            seed=seed,
-            coverage_threshold=cfg.get("problem", "coverage_threshold", 1, int))
-    if gen == "rotating":
-        return problems.gen_rotating_gaussians(
-            nx, ny, n_t,
-            radii_count=cfg.get("problem", "radii_count", 0, int),
-            noise_level=cfg.get("problem", "noise_level", 0.02, float),
-            seed=seed,
-            width=cfg.get("problem", "width", 0.08, float),
-            orbit_radius=cfg.get("problem", "orbit_radius", 0.25, float),
-            revolutions=cfg.get("problem", "revolutions", 1.0, float))
-    raise ParameterError(f"unknown generator {gen!r}")
-
-
-def _spatial_kernel(cfg: RunConfig):
-    family = cfg.get("prior", "spatial", "matern")
-    if family == "identity":
-        return None
-    if family == "matern":
-        return priorcov.MaternKernel(cfg.get("prior", "nu", 1.0, float),
-                                     cfg.get("prior", "ell", 0.1, float))
-    if family == "gamma_exp":
-        return priorcov.GammaExpKernel(cfg.get("prior", "gamma", 1.0, float),
-                                       cfg.get("prior", "ell", 0.1, float))
-    raise ParameterError(f"unknown spatial kernel family {family!r}")
+    make, keys = GENERATORS[cfg.require("problem", "generator")]
+    return make(cfg.require("problem", "nx"), cfg.require("problem", "ny"),
+                cfg.require("problem", "n_t"), **cfg.kwargs("problem", *keys))
 
 
 def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.PriorModel:
     n_s, n_t = inst.n_s, inst.n_t
-    nugget = cfg.get("prior", "nugget", priorcov.DEFAULT_NUGGET, float)
-    structure = cfg.get("prior", "structure", "kron")
-    mean_value = cfg.get("prior", "mean", 0.0, float)
-    mean = np.full(n_s * n_t, mean_value)
-    times = np.linspace(0.0, 1.0, n_t) if n_t > 1 else np.array([0.0])
+    nugget = cfg.kwargs("prior", "nugget")
+    mean = np.full(n_s * n_t, cfg.get("prior", "mean"))
+    times = np.linspace(0.0, 1.0, n_t)
+    grid = priorcov.PointSet.regular_grid_2d(*inst.grid)
 
-    kern = _spatial_kernel(cfg)
+    family = cfg.get("prior", "spatial")
+    kern = None
+    if family in KERNELS:
+        cls = KERNELS[family]
+        kern = cls(**cfg.kwargs("prior", *(f.name for f in dataclasses.fields(cls))))
+    elif family != "identity":
+        raise ParameterError(f"unknown spatial kernel family {family!r}")
+    structure = cfg.get("prior", "structure")
     if structure == "nonseparable":
         if kern is None:
             raise ParameterError("nonseparable prior requires a spatial kernel")
-        nk = priorcov.NonseparableKernel(kern,
-                                         c1=cfg.get("prior", "c1", 1.0, float),
-                                         c2=cfg.get("prior", "c2", 0.0, float))
+        nk = priorcov.NonseparableKernel(kern, **cfg.kwargs("prior", "c1", "c2"))
         Q = priorcov.build_nonseparable_Q(
-            nk, priorcov.PointSet.regular_grid_2d(*inst.grid),
-            priorcov.PointSet.from_coords(times), nugget)
+            nk, grid, priorcov.PointSet.from_coords(times), **nugget)
         return priorcov.PriorModel(mean, Q)
     if structure != "kron":
         raise ParameterError(f"unknown prior structure {structure!r}")
@@ -178,27 +218,32 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
     if kern is None:
         Qs = identity(n_s)
     else:
-        Qs = priorcov.build_kernel_matrix(
-            kern, priorcov.PointSet.regular_grid_2d(*inst.grid), nugget)
-    variant = cfg.get("prior", "temporal", "identity")
-    tkern = None
-    if variant == "kernel":
-        tkern = priorcov.MaternKernel(cfg.get("prior", "temporal_nu", 1.5, float),
-                                      cfg.get("prior", "temporal_ell", 0.3, float))
-    Qt = priorcov.build_temporal_prior(
-        variant, n_t=n_t, t=times, kernel=tkern,
-        gamma=cfg.get("prior", "fd_gamma", 1e-3, float), nugget=nugget)
+        Qs = priorcov.build_kernel_matrix(kern, grid, **nugget)
+    variant = cfg.get("prior", "temporal")
+    if variant == "identity":
+        Qt = DenseOperator(np.eye(n_t))
+    elif variant == "minij":
+        Qt, _ = priorcov.build_minij_prior(n_t)
+    elif variant == "fd":
+        _, Qt = priorcov.build_fd_temporal(times, **cfg.kwargs("prior", "fd_gamma"))
+    elif variant == "kernel":
+        tkern = priorcov.MaternKernel(
+            **cfg.kwargs("prior", "temporal_nu", "temporal_ell"))
+        Qt = priorcov.build_kernel_matrix(
+            tkern, priorcov.PointSet.from_coords(times), **nugget)
+    else:
+        raise ParameterError(f"unknown temporal prior variant {variant!r}")
     return priorcov.PriorModel(mean, KroneckerOperator(Qt, Qs))
 
 
 def build_strategy(cfg: RunConfig, inst: problems.ProblemInstance):
-    name = cfg.get("solver", "strategy", "wgcv")
+    name = cfg.get("solver", "strategy")
     if name == "fixed":
-        return hybrid.Fixed(cfg.require("solver", "lambda", float))
+        return hybrid.Fixed(cfg.require("solver", "lambda"))
     if name == "gcv":
         return hybrid.WGCV(1.0)
     if name == "wgcv":
-        return hybrid.WGCV(cfg.get("solver", "wgcv_weight", 0.8, float))
+        return hybrid.WGCV(**cfg.kwargs("solver", "wgcv_weight"))
     if name == "optimal":
         if inst.s_true is None:
             raise ParameterError("optimal strategy requires an instance with truth")
@@ -208,27 +253,21 @@ def build_strategy(cfg: RunConfig, inst: problems.ProblemInstance):
 
 def build_options(cfg: RunConfig, inst: problems.ProblemInstance) -> hybrid.SolverOptions:
     mask = inst.meta.get("mask")
-    if mask is not None and mask.size == inst.n_s:
+    if mask is not None:
         mask = np.tile(mask, inst.n_t)  # spatial mask, same at every time
-    return hybrid.SolverOptions(
-        max_iter=cfg.get("solver", "max_iter", 100, int),
-        reorthogonalize=cfg.get("solver", "reorth", False, bool),
-        error_mask=mask,
-    )
+    return hybrid.SolverOptions(error_mask=mask,
+                                **cfg.kwargs("solver", "max_iter", "reorth"))
 
 
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, outdir: str) -> None:
     inst = generate_problem(cfg)
-    outdir = _output_dir(cfg)
     problems.save_instance(inst, outdir)
-    cfg.write_manifest(outdir, {"run": {"command": "generate"}})
     print(f"wrote instance ({inst.kind}, n={inst.n_s * inst.n_t}, m={inst.d.size}) "
           f"to {outdir}")
-    return EXIT_OK
 
 
 def _write_summary(outdir, values):
@@ -238,13 +277,12 @@ def _write_summary(outdir, values):
         out.write(fh)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig, outdir: str) -> None:
     inst = load_problem(cfg)
     prior = build_prior(cfg, inst)
     strategy = build_strategy(cfg, inst)
     options = build_options(cfg, inst)
-    method = cfg.get("solver", "method", "simultaneous")
-    outdir = _output_dir(cfg)
+    method = cfg.get("solver", "method")
     os.makedirs(outdir, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -257,11 +295,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         stop = res.stop_reason
         res.write_convergence_csv(os.path.join(outdir, "convergence.csv"))
     elif method == "decoupled":
-        At, As, Rt, Rs, Qt, Qs = decoupled.kronecker_factors(inst, prior)
-        per_time = cfg.get("solver", "per_time_lambda", False, bool)
         dres = decoupled.decoupled_solve(
-            At, As, Rt, Rs, Qt, Qs, inst.d, strategy, options, mu=prior.mean,
-            per_time_lambda=per_time)
+            *decoupled.kronecker_factors(inst, prior), inst.d, strategy, options,
+            mu=prior.mean, **cfg.kwargs("solver", "per_time_lambda"))
         s = dres.s
         lam = max(dres.per_time_lambda)
         iters = sum(dres.per_time_iters)
@@ -278,16 +314,12 @@ def cmd_solve(cfg: RunConfig) -> int:
         summary["rel_error"] = hybrid.relative_error(s, inst.s_true,
                                                      options.error_mask)
     _write_summary(outdir, summary)
-    cfg.write_manifest(outdir, {"run": {"command": "solve"}})
     print(f"solve done: lambda={lam:.6g} iters={iters} stop={stop} "
           f"wall={wall:.2f}s" + (f" rel_error={summary['rel_error']:.4g}"
                                  if "rel_error" in summary else ""))
-    return EXIT_OK
 
 
 def _write_decoupled_logs(outdir, dres):
-    import csv
-
     with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_index"] + hybrid.CONVERGENCE_COLUMNS)
@@ -297,13 +329,12 @@ def _write_decoupled_logs(outdir, dres):
             writer.writerows([i] + row for row in res.convergence_rows())
 
 
-def cmd_variance(cfg: RunConfig) -> int:
+def cmd_variance(cfg: RunConfig, outdir: str) -> None:
     inst = load_problem(cfg)
     prior = build_prior(cfg, inst)
-    outdir = _output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
 
-    lam = cfg.get("uq", "lambda", None, float)
+    lam = cfg.get("uq", "lambda")
     if lam is None:
         summary_path = os.path.join(outdir, "summary.ini")
         summary = configparser.ConfigParser()
@@ -312,7 +343,7 @@ def cmd_variance(cfg: RunConfig) -> int:
     if lam is None or lam <= 0:
         raise ParameterError("variance requires a positive lambda, from "
                              "[uq] lambda or a prior solve summary")
-    rank = cfg.get("uq", "rank", 20, int)
+    rank = cfg.get("uq", "rank")
 
     b = inst.d - inst.A.apply(prior.mean)
     var, k_total = uq.restarted_variance_diag(inst.A, inst.R, prior.Q, b, lam,
@@ -328,61 +359,53 @@ def cmd_variance(cfg: RunConfig) -> int:
         exact = np.diag(oracle.dense_posterior(p))
         summary["oracle_max_dev"] = float(np.max(np.abs(var - exact)))
     _write_summary(outdir, summary)
-    cfg.write_manifest(outdir, {"run": {"command": "variance"}})
     print(f"variance field written (k={k_total}, lambda={lam:.6g}) to {outdir}")
-    return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: RunConfig, outdir: str) -> None:
     inst = load_problem(cfg)
     prior = build_prior(cfg, inst)
-    lam = cfg.get("solver", "lambda", 1.0, float)
     p = oracle.DenseProblem(inst.A.to_dense(), inst.R.to_dense(),
-                            prior.Q.to_dense(), inst.d, prior.mean, lam)
+                            prior.Q.to_dense(), inst.d, prior.mean,
+                            **cfg.kwargs("solver", "lambda"))
     s1 = oracle.map_normal_equations(p)
     s2 = oracle.map_general_tikhonov(p)
     s3 = oracle.map_sherman_morrison(p)
-    outdir = _output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
     dio.write_vector_bin(os.path.join(outdir, "oracle_map.bin"), s1)
     dev12 = np.linalg.norm(s1 - s2) / np.linalg.norm(s1)
     dev13 = np.linalg.norm(s1 - s3) / np.linalg.norm(s1)
-    _write_summary(outdir, {"lambda": lam, "dev_tikhonov": dev12,
+    _write_summary(outdir, {"lambda": p.lam, "dev_tikhonov": dev12,
                             "dev_sherman_morrison": dev13, "command": "oracle"})
-    cfg.write_manifest(outdir, {"run": {"command": "oracle"}})
     print(f"oracle MAP written; formulation deviations {dev12:.3e}, {dev13:.3e}")
-    return EXIT_OK
 
 
-def cmd_kernel_eval(args) -> int:
+def cmd_kernel_eval(args) -> None:
     rs = np.array([float(r) for r in args.r])
-    if args.family == "matern":
-        kern = priorcov.MaternKernel(args.nu, args.ell)
-        vals = priorcov.matern_eval(kern, rs)
-    elif args.family == "gamma_exp":
-        kern = priorcov.GammaExpKernel(args.gamma, args.ell)
-        vals = priorcov.gamma_exp_eval(kern, rs)
-    else:
-        raise ParameterError(f"unknown kernel family {args.family!r}")
+    cls = KERNELS[args.family]
+    vals = cls(*(getattr(args, f.name) for f in dataclasses.fields(cls)))(rs)
     for r, v in zip(np.atleast_1d(rs), np.atleast_1d(vals)):
         print(f"{float(r)!r},{float(v)!r}")
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
+COMMANDS = {"generate": cmd_generate, "solve": cmd_solve,
+            "variance": cmd_variance, "oracle": cmd_oracle}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="dyninv",
                                      description="dynamic inverse-problem driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "solve", "variance", "oracle"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=False, default=None,
                         help="INI config file; keys overridable as --section.key=value")
     ke = sub.add_parser("kernel-eval")
-    ke.add_argument("--family", default="matern", choices=["matern", "gamma_exp"])
+    ke.add_argument("--family", default=DEFAULT_KERNEL, choices=KERNELS)
     ke.add_argument("--nu", type=float, default=1.5)
     ke.add_argument("--gamma", type=float, default=1.0)
     ke.add_argument("--ell", type=float, default=1.0)
@@ -398,11 +421,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(rest)
         if args.command == "kernel-eval":
-            return cmd_kernel_eval(args)
-        cfg = RunConfig(args.config, overrides)
-        handler = {"generate": cmd_generate, "solve": cmd_solve,
-                   "variance": cmd_variance, "oracle": cmd_oracle}[args.command]
-        return handler(cfg)
+            cmd_kernel_eval(args)
+        else:
+            cfg = RunConfig(args.config, overrides)
+            outdir = os.path.join(os.environ.get("DYNINV_OUTPUT_ROOT", ""),
+                                  cfg.get("output", "dir"))
+            COMMANDS[args.command](cfg, outdir)
+            cfg.write_manifest(outdir, args.command)
+        return EXIT_OK
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -264,27 +264,3 @@ class PriorModel:
     def zero_mean(Q: LinearOperator) -> "PriorModel":
         return PriorModel(np.zeros(Q.cols), Q)
 
-
-def build_temporal_prior(variant: str, *, n_t: int | None = None, t=None,
-                         kernel=None, gamma: float = 1e-3,
-                         nugget: float = DEFAULT_NUGGET) -> DenseOperator:
-    """Dispatch on the temporal-prior variant tag used by the CLI config."""
-    if variant == "identity":
-        if n_t is None:
-            raise ParameterError("identity temporal prior requires n_t")
-        return DenseOperator(np.eye(n_t))
-    if variant == "minij":
-        if n_t is None:
-            raise ParameterError("minij temporal prior requires n_t")
-        Q, _ = build_minij_prior(n_t)
-        return Q
-    if variant == "fd":
-        if t is None:
-            raise ParameterError("finite-difference temporal prior requires time points")
-        _, Q = build_fd_temporal(t, gamma)
-        return Q
-    if variant == "kernel":
-        if t is None or kernel is None:
-            raise ParameterError("kernel temporal prior requires time points and a kernel")
-        return build_kernel_matrix(kernel, PointSet.from_coords(t), nugget)
-    raise ParameterError(f"unknown temporal prior variant {variant!r}")

@@ -13,11 +13,14 @@ bitwise from their seed.
 
 from __future__ import annotations
 
+import configparser
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import io as dio
 from .errors import ParameterError
 from .linop import (DenseOperator, KroneckerOperator, LinearOperator,
                     ScaledIdentityOperator, SparseOperator)
@@ -203,7 +206,7 @@ def checkerboard_truth(nx: int, ny: int, n_t: int, base_value: float = 5e-5,
     return np.tile(frame, n_t)
 
 
-def gen_ray_tomography(nx: int, ny: int, n_t: int, rays_per_time,
+def gen_ray_tomography(nx: int, ny: int, n_t: int, rays_per_time=200,
                        noise_sigma: float = 0.0015, seed: int = 0,
                        base_value: float = 5e-5, cell: int = 8,
                        coverage_threshold: int = 1) -> ProblemInstance:
@@ -343,11 +346,6 @@ def save_instance(inst: ProblemInstance, directory) -> None:
     Kronecker factors and vectors use the ``DYNINV1`` binary format; a sparse
     forward matrix is one uncompressed ``A.npz``.
     """
-    import configparser
-    import os
-
-    from . import io as dio
-
     os.makedirs(directory, exist_ok=True)
     cfg = configparser.ConfigParser()
     cfg["instance"] = {
@@ -388,11 +386,6 @@ def load_instance(directory) -> ProblemInstance:
     A manifest with an unknown forward-model structure raises
     :class:`ParameterError`.
     """
-    import configparser
-    import os
-
-    from . import io as dio
-
     cfg = configparser.ConfigParser()
     manifest = os.path.join(directory, "manifest.ini")
     if not cfg.read(manifest):

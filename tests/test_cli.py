@@ -285,3 +285,61 @@ def test_manifest_records_overrides(tmp_path, deblur_config):
     m.read(tmp_path / "ov" / "manifest.ini")
     assert m.get("problem", "seed") == "99"
     assert m.get("instance", "kind") == "deblur"
+
+
+@pytest.mark.parametrize("generator, d_sha", [
+    ("deblur", "67fa8376d2b0f84e3723dcffd7f150ceb82c5b687b973763f797f4d41b8819a8"),
+    ("tomography", "de750c90c2daf3293bd3018d74b8096cad1cbf7963451be91031aeb8d3cc26d1"),
+    ("rotating", "761c7271688e34d957b0691c0dfce4106e89bca373c792a8e451074d519b7e3d"),
+])
+def test_generate_with_defaults_only_is_pinned(tmp_path, generator, d_sha):
+    # the generator defaults live only in the library signatures; these
+    # digests were taken while cli.py still passed every default itself
+    cfg = write_config(tmp_path / "c.ini", {
+        "problem": {"generator": generator, "nx": "6", "ny": "6", "n_t": "3"},
+        "output": {"dir": str(tmp_path / "o")},
+    })
+    assert cli.main(["generate", "--config", cfg]) == 0
+    assert hashlib.sha256((tmp_path / "o" / "d.bin").read_bytes()).hexdigest() == d_sha
+
+
+@pytest.mark.parametrize("command, typo, message", [
+    ("generate", "--problem.noise_levl=0.5", "unknown config key [problem] noise_levl"),
+    ("solve", "--solver.stratgy=fixed", "unknown config key [solver] stratgy"),
+    ("solve", "--prior.nuu=2.5", "unknown config key [prior] nuu"),
+    ("variance", "--uq.rnak=3", "unknown config key [uq] rnak"),
+    ("oracle", "--output.dri=elsewhere", "unknown config key [output] dri"),
+    ("solve", "--solvr.strategy=fixed", "unknown config key [solvr] strategy"),
+    ("solve", "--solver.reorth=ture", "Not a boolean: ture"),
+], ids=["problem", "solver", "prior", "uq", "output", "section", "bool"])
+def test_unknown_key_is_a_validation_error(tmp_path, deblur_config, capsys,
+                                           command, typo, message):
+    # a misspelt key or boolean is an error, not a setting that is ignored
+    # while the manifest records it
+    out = tmp_path / "typo"
+    assert cli.main([command, "--config", deblur_config, "--uq.lambda=1.0",
+                     typo, f"--output.dir={out}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.ini").exists()
+
+
+def test_temporal_prior_variants(tmp_path, deblur_config, capsys):
+    # each [prior] temporal variant builds the Q_t of its library builder,
+    # on the time points linspace(0, 1, n_t)
+    e = np.exp(-1.0)
+    for n_t, keys, Qt in [
+            (4, ["--prior.temporal=identity"], np.eye(4)),
+            (3, ["--prior.temporal=minij"], [[1, 1, 1], [1, 2, 2], [1, 2, 3]]),
+            (2, ["--prior.temporal=fd", "--prior.fd_gamma=1.0"],
+             np.array([[2, 1], [1, 2]]) / 3.0),
+            (2, ["--prior.temporal=kernel", "--prior.temporal_nu=0.5",
+                 "--prior.temporal_ell=1.0", "--prior.nugget=0.0"],
+             [[1, e], [e, 1]])]:
+        cfg = cli.RunConfig(None, ["--problem.generator=deblur", "--problem.nx=4",
+                                   "--problem.ny=4", f"--problem.n_t={n_t}",
+                                   "--prior.spatial=identity", *keys])
+        prior = cli.build_prior(cfg, cli.load_problem(cfg))
+        npt.assert_allclose(prior.Q.left.to_dense(), Qt, rtol=1e-14)
+    assert cli.main(["solve", "--config", deblur_config, "--prior.temporal=nope",
+                     f"--output.dir={tmp_path / 'nope'}"]) == 2
+    assert "unknown temporal prior variant 'nope'" in capsys.readouterr().err

@@ -135,19 +135,6 @@ def test_fd_temporal():
         pc.build_fd_temporal([0.0, 1.0], gamma=0.0)
 
 
-def test_build_temporal_prior_dispatch():
-    assert np.allclose(pc.build_temporal_prior("identity", n_t=4).to_dense(), np.eye(4))
-    Q = pc.build_temporal_prior("minij", n_t=3).to_dense()
-    assert Q[2, 2] == 3.0
-    Qfd = pc.build_temporal_prior("fd", t=[0.0, 1.0], gamma=1.0).to_dense()
-    npt.assert_allclose(Qfd, np.array([[2, 1], [1, 2]]) / 3.0)
-    Qk = pc.build_temporal_prior("kernel", t=[0.0, 1.0],
-                                 kernel=pc.MaternKernel(0.5, 1.0), nugget=0.0)
-    npt.assert_allclose(Qk.to_dense()[0, 1], np.exp(-1.0))
-    with pytest.raises(ParameterError):
-        pc.build_temporal_prior("nope", n_t=2)
-
-
 # ----------------------------------------------------------------------
 # Nonseparable and product-sum covariances
 # ----------------------------------------------------------------------
