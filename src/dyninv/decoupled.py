@@ -7,7 +7,8 @@ R_t^{-1/2} A_t L_t^T (with Q_t = L_t^T L_t).  Each subproblem is solved with
 the simultaneous hybrid solver, whose zero-mean solutions Q_s z_i are
 recombined via S = (Q_s Z) V_t^T L_t^{-T} Q_t^T.
 
-The subproblems are independent and may run in parallel.
+The subproblems are independent and may run in a thread pool, though at
+desk scale that is slower than running them in turn (see ``decoupled_solve``).
 """
 
 from __future__ import annotations
@@ -184,6 +185,13 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     per-subproblem parameters is an open caveat; see the package docs.
     Optimal is rejected either way: the subproblem unknowns are transformed
     coefficients, which have no truth to measure an error against.
+
+    ``threads`` > 1 runs the subproblems in a thread pool, which at desk
+    scale costs time: the subproblems are interpreter-bound and contend for
+    the interpreter lock.  At n_s = 1,024 (the ``deblur-decoupled``
+    benchmark, seed 1) two solver threads took 1.6 to 1.9 times as long as
+    one: in-process medians of seven solves of 0.21-0.29 s against
+    0.12-0.18 s (2-core x86-64 VM, one BLAS thread).
     """
     if isinstance(strategy, hybrid.Optimal):
         raise ParameterError(

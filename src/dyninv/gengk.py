@@ -2,10 +2,16 @@
 
 Produces a small lower-bidiagonal matrix together with bases U and V that are
 orthonormal in the weighted inner products.  The bases are stored as
-column-major blocks allocated once for a given number of steps.  Optional full
-reorthogonalization (block classical Gram-Schmidt in the weighted inner
-products: one pass, and a second only when the first shrinks the vector's
-weighted norm by more than 1/sqrt(2), the DGKS criterion) is available; it is
+column-major blocks allocated once for a given number of steps.  Optional
+one-sided reorthogonalization is available: each step orthogonalizes only the
+new vector of the side with fewer rows (U when m <= n) against that whole
+side, by block classical Gram-Schmidt in its weighted inner product (one
+pass, and a second only when the first shrinks the vector's weighted norm by
+more than 1/sqrt(2), the DGKS criterion), and the other side keeps the plain
+recurrence.  In exact arithmetic the short side's orthogonality carries over
+to the long side (Simon and Zha, SISC 21(6), 2000); in floating point the
+long side's Gram deviation grows roughly like eps cond(B_k), so measure it
+(``krylov_basis_span_check``) on ill-conditioned problems.  It is
 recommended whenever the factorization feeds variance estimation, and
 required by ``gengk_restart``, which continues a reorthogonalized
 factorization past a breakdown in the same bases.
@@ -60,7 +66,8 @@ class GenGKFactorization:
     betas: list = field(default_factory=list)    # beta_2 .. beta_{k+1}
     breakdown: int | None = None                 # step index at which it occurred;
                                                  # a restart clears it
-    # Gram-Schmidt passes of each step, u and v together (0 without reorthogonalization)
+    # Gram-Schmidt passes of each step on its reorthogonalized side (the
+    # new u when m <= n, else the new v; 0 without reorthogonalization)
     reorth_passes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -89,6 +96,12 @@ class GenGKFactorization:
         """View of Q v_1 .. Q v_k."""
         k = self.k if k is None else k
         return self._QV[:, :min(k, self._nv)]
+
+    @property
+    def _short_u(self) -> bool:
+        """True when U is the side with fewer rows (m <= n), the one side
+        that a reorthogonalized step orthogonalizes."""
+        return self.A.rows <= self.A.cols
 
     @property
     def breakdown_tol(self) -> float:
@@ -138,11 +151,11 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     scale = _operator_scale(A, R, Q)
     fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=0.0,
                               max_steps=max_steps, reorthogonalize=reorthogonalize)
-    fact.beta1, Rinv_b, _ = _append_u(fact, b, R.solve(b), 0.0)
+    fact.beta1, Rinv_b, _ = _append_u(fact, b, R.solve(b), 0.0, False)
     if fact.beta1 == 0.0:
         raise DegenerateInputError("b = 0: gen-GK iteration undefined")
     w = A.apply_adjoint(Rinv_b / fact.beta1)
-    fact.alphas.append(_append_v(fact, w, Q.apply(w), BREAKDOWN_RTOL * scale)[0])
+    fact.alphas.append(_append_v(fact, w, Q.apply(w), BREAKDOWN_RTOL * scale, False)[0])
     if fact.alphas[0] == 0.0:
         fact.breakdown = 0
     return fact
@@ -162,6 +175,9 @@ def _cgs2(W, x, Mx, next_Mx):
 
     Returns ``(x, Mx, x'Mx, passes)``: the squared weighted norm is the one
     the criterion computed last, unclamped (x0'Mx0 when W has no columns).
+    A reorthogonalized step calls it with the filled columns of one side
+    only, the side with fewer rows, and with no columns on the other, so its
+    passes are that one side's.
     """
     norm_sq = float(np.dot(x, Mx))
     passes = 0
@@ -179,15 +195,15 @@ def _cgs2(W, x, Mx, next_Mx):
     return x, Mx, norm_sq, passes
 
 
-def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float):
+def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float, reorth: bool):
     """Store u / ||u||_{R^{-1}} as the next U column, after orthogonalizing u
-    against the filled ones when the factorization is reorthogonalized
-    (otherwise against none, so that ``_cgs2`` only takes u' R^{-1} u).
+    against the filled ones when ``reorth`` is set (otherwise against none,
+    so that ``_cgs2`` only takes u' R^{-1} u).
 
     Returns ``(norm, R^{-1} u, passes)``; a norm at most ``tol`` stores
     nothing and is returned as 0.0.
     """
-    R, U = fact.R, fact._U[:, :fact._nu if fact.reorthogonalize else 0]
+    R, U = fact.R, fact._U[:, :fact._nu if reorth else 0]
     u, Rinv_u, u_sq, passes = _cgs2(U, u, Rinv_u, lambda x, Mx, c: R.solve(x))
     norm = np.sqrt(_clamped_norm_sq(u_sq, tol))
     if norm <= tol:
@@ -197,10 +213,10 @@ def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float):
     return norm, Rinv_u, passes
 
 
-def _append_v(fact: GenGKFactorization, v, Qv, tol: float):
+def _append_v(fact: GenGKFactorization, v, Qv, tol: float, reorth: bool):
     """Store v / ||v||_Q and Q v / ||v||_Q as the next V and Q V columns, as
     ``_append_u`` does for u.  Returns ``(norm, passes)``."""
-    n = fact._nv if fact.reorthogonalize else 0
+    n = fact._nv if reorth else 0
     V, QV = fact._V[:, :n], fact._QV[:, :n]
     v, Qv, v_sq, passes = _cgs2(V, v, Qv, lambda x, Mx, c: Mx - QV @ c)
     norm = np.sqrt(_clamped_norm_sq(v_sq, tol))
@@ -216,7 +232,8 @@ def _append_next_v(fact: GenGKFactorization, Rinv_u, beta: float) -> int:
     """Append v_{i+1} and alpha_{i+1} from beta_{i+1} and R^{-1} u_{i+1} of the
     stored unit u_{i+1}; a zero alpha is a breakdown.  Returns the passes."""
     v = fact.A.apply_adjoint(Rinv_u) - beta * fact._V[:, fact._nv - 1]
-    alpha, passes = _append_v(fact, v, fact.Q.apply(v), fact.breakdown_tol)
+    alpha, passes = _append_v(fact, v, fact.Q.apply(v), fact.breakdown_tol,
+                              fact.reorthogonalize and not fact._short_u)
     fact.alphas.append(alpha)
     fact.breakdown = None if alpha else fact.k
     return passes
@@ -226,7 +243,9 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     """Extend the factorization by one step (in place; the state is returned).
 
     Appends u_{i+1}, beta_{i+1} and, unless breakdown occurs, v_{i+1},
-    alpha_{i+1}.  Breakdown is a benign termination, not a failure.
+    alpha_{i+1}.  Breakdown is a benign termination, not a failure.  With
+    reorthogonalization only the new vector of the side with fewer rows is
+    orthogonalized against its side.
     """
     if fact.breakdown is not None:
         raise RuntimeError("cannot step a broken-down factorization")
@@ -235,7 +254,8 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
         raise RuntimeError(f"cannot step past the {fact.max_steps} steps the "
                            f"factorization was allocated for")
     u = fact.A.apply(fact._QV[:, k]) - fact.alphas[k] * fact._U[:, k]
-    beta, Rinv_u, passes = _append_u(fact, u, fact.R.solve(u), fact.breakdown_tol)
+    beta, Rinv_u, passes = _append_u(fact, u, fact.R.solve(u), fact.breakdown_tol,
+                                     fact.reorthogonalize and fact._short_u)
     fact.betas.append(beta)
     fact.reorth_passes.append(passes)
     if beta == 0.0:
@@ -263,14 +283,14 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
         u = A.apply(rng.standard_normal(A.cols))
         Rinv_u = fact.R.solve(u)
         tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u))
-        norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol)
+        norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol, True)
         if norm:
             _append_next_v(fact, Rinv_u / norm, 0.0)
         return bool(norm)
     v = A.apply_adjoint(rng.standard_normal(A.rows))
     Qv = fact.Q.apply(v)
     tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv))
-    if not _append_v(fact, v, Qv, tol)[0]:
+    if not _append_v(fact, v, Qv, tol, True)[0]:
         return False
     fact.breakdown = None
     return True

@@ -26,14 +26,19 @@ from .priorcov import PriorModel
 LAMBDA_LO_FACTOR = 1e-12
 LAMBDA_HI_FACTOR = 1e3
 LAMBDA_GRID_POINTS = 200
-# at most this many zoom rounds follow the grid; each one narrows the
-# log-lambda spacing by (LAMBDA_ZOOM_POINTS - 1) / 2, so 14 rounds of 17
-# points take the grid's spacing of 0.17 down to about 4e-14.  The search
-# stops early at the first round (the grid included) whose values all lie
-# within LAMBDA_FLAT_RTOL of its minimum: later rounds could only move lambda
-# inside a cell where the objective is flat to rounding.
+# at most this many zoom rounds follow the grid; a round over the bracket of
+# the previous minimum narrows the log-lambda spacing by
+# (LAMBDA_ZOOM_POINTS - 1) / 2, so 14 such rounds of 17 points take the
+# grid's spacing of 0.17 down to about 4e-14.  Near a smooth minimum a round
+# spans only LAMBDA_VERTEX_MARGIN times the step between the last two
+# parabola vertices on either side of the newer one, which converges
+# superlinearly.  The search stops early at the first round (the grid
+# included) whose values all lie within LAMBDA_FLAT_RTOL of its minimum:
+# later rounds could only move lambda inside a cell where the objective is
+# flat to rounding.
 LAMBDA_ZOOM_ROUNDS = 14
 LAMBDA_ZOOM_POINTS = 17
+LAMBDA_VERTEX_MARGIN = 4.0
 LAMBDA_FLAT_RTOL = 16 * np.finfo(float).eps
 # point indices of a grid and of a zoom round, as np.linspace spaces them
 _GRID_STEPS = np.arange(LAMBDA_GRID_POINTS, dtype=float)
@@ -79,9 +84,12 @@ class Optimal:
 class ProjectedProblem:
     """SVD view of the (k+1) x k bidiagonal, reused across lambda values.
 
-    ``solve``, ``misfit`` and ``gcv`` take one lambda or an array of them and
-    share one set of filter factors, so lambda = 0 means the same truncated
-    (minimum-norm) solution in all three.
+    ``fit`` gives the coefficients, the misfit and the GCV value from one
+    filter evaluation, so lambda = 0 means the same truncated (minimum-norm)
+    solution in all three; ``coefficients``, ``solve``, ``misfit`` and
+    ``gcv`` are its parts.  A lambda search evaluates only positive lambdas,
+    so its objectives, ``search_gcv`` and ``search_coefficients``, skip the
+    zero-lambda branch.
     """
 
     B: np.ndarray
@@ -103,55 +111,65 @@ class ProjectedProblem:
         self._dropped = ~self._kept
         self._c_over_s = np.divide(self.c[: s.size], s, out=np.zeros_like(s),
                                    where=s > 0)
+        self._sc = s * self.c[: s.size]
 
     @property
     def k(self) -> int:
         return self.B.shape[1]
 
-    def _lam2(self, lam):
-        """lam^2 as a column, where it is zero, and the filter denominator
-        s^2 + lam^2 with 1 in place of a zero lam^2 (one row per lambda)."""
+    def fit(self, lam, w: float = 1.0):
+        """Coefficients f of z(lam) = Vt' f, the misfit and the (weighted) GCV
+        value from one filter evaluation, for one lambda or an array of them
+        (one row or entry per lambda).
+
+        The filters phi = s^2 / (s^2 + lam^2) and psi = 1 - phi are formed
+        without cancellation.  At lam = 0 the solution is the minimum-norm
+        one on the singular values above s_max * eps * max(B.shape): phi is
+        1 on the kept singular values and psi 1 on the dropped ones.
+        """
         lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
         zero = lam2 == 0
-        return lam2, zero, self._s2 + np.where(zero, 1.0, lam2)
-
-    def _psi(self, lam):
-        """1 - phi = lam^2 / (s^2 + lam^2), one row per lambda; at lam = 0 it
-        is 1 on the dropped singular values and 0 on the kept ones."""
-        lam2, zero, denom = self._lam2(lam)
-        return np.where(zero, self._dropped, lam2 / denom)
+        denom = self._s2 + np.where(zero, 1.0, lam2)
+        phi = np.where(zero, self._kept, self._s2 / denom)
+        psi = np.where(zero, self._dropped, lam2 / denom)
+        res_sq = self._residual_sq(psi)
+        return phi * self._c_over_s, np.sqrt(res_sq), self._gcv(psi, res_sq, w)
 
     def coefficients(self, lam) -> np.ndarray:
-        """Coefficients f of z(lam) = Vt' f, one row per lambda.
-
-        The filter phi = s^2 / (s^2 + lam^2) is formed without cancellation;
-        at lam = 0 it is 1 on the kept singular values and 0 on the dropped.
-        """
-        lam2, zero, denom = self._lam2(lam)
-        return np.where(zero, self._kept, self._s2 / denom) * self._c_over_s
+        """Coefficients f of z(lam) = Vt' f, one row per lambda."""
+        return self.fit(lam)[0]
 
     def solve(self, lam: float) -> np.ndarray:
-        """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2.
-
-        At lam = 0 this is the minimum-norm solution on the singular values
-        above s_max * eps * max(B.shape).
-        """
+        """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2."""
         return self.Vt.T @ self.coefficients(lam)
+
+    def misfit(self, lam):
+        """||B z(lam) - beta1 e1||_2 for one lambda or an array of them."""
+        return self.fit(lam)[1]
+
+    def gcv(self, lam, w: float = 1.0):
+        """(Weighted) GCV value for one lambda or an array of them."""
+        return self.fit(lam, w)[2]
+
+    def search_gcv(self, lam: np.ndarray, w: float) -> np.ndarray:
+        """``gcv`` over an array of positive lambdas (a search round): psi
+        is formed once, with no zero-lambda branch."""
+        lam2 = np.square(lam)[:, None]
+        psi = lam2 / (self._s2 + lam2)
+        return self._gcv(psi, self._residual_sq(psi), w)
+
+    def search_coefficients(self, lam: np.ndarray) -> np.ndarray:
+        """``coefficients`` over an array of positive lambdas (a search
+        round): phi c / s = s c / (s^2 + lam^2), with no zero-lambda branch."""
+        return self._sc / (self._s2 + np.square(lam)[:, None])
 
     def _residual_sq(self, psi):
         return psi ** 2 @ self._c2_head + self._c_tail_sq
 
-    def misfit(self, lam):
-        """||B z(lam) - beta1 e1||_2 for one lambda or an array of them."""
-        return np.sqrt(self._residual_sq(self._psi(lam)))
-
-    def gcv(self, lam, w: float = 1.0):
-        """(Weighted) GCV value of the projected problem, for one lambda or
-        an array of them."""
-        psi = self._psi(lam)
+    def _gcv(self, psi, res_sq, w):
         # the trace term sum(phi) is k - sum(psi), at lam = 0 too
         denom = (self.k + 1) - w * (self.k - psi.sum(axis=-1))
-        return self.k * self._residual_sq(psi) / denom ** 2
+        return self.k * res_sq / denom ** 2
 
 
 class TruthError:
@@ -190,21 +208,34 @@ class TruthError:
         self.g[k0:k] = new.T @ self.r0
         self.k = k
 
-    def objective(self, proj: ProjectedProblem):
-        """err(lam) for ``proj``, for one lambda or an array of them."""
+    def objective(self, proj: ProjectedProblem) -> _ProjectedError:
+        """err for ``proj``: called on an array of positive lambdas (a search
+        round), or ``at`` the coefficients f of one lambda."""
         k = proj.k
         if k > self.k:
             raise ParameterError(f"TruthError holds {self.k} columns of Q V, "
                                  f"the projected problem needs {k}")
-        M = proj.Vt @ self.G[:k, :k] @ proj.Vt.T
-        h2 = 2.0 * (proj.Vt @ self.g[:k])
+        return _ProjectedError(proj, self.r0_sq, proj.Vt @ self.G[:k, :k] @ proj.Vt.T,
+                               2.0 * (proj.Vt @ self.g[:k]))
 
-        def err(lam):
-            F = proj.coefficients(lam)
-            sq = self.r0_sq + (F * (h2 + F @ M)).sum(axis=-1)
-            return np.sqrt(np.maximum(sq, 0.0))
 
-        return err
+@dataclass(frozen=True)
+class _ProjectedError:
+    """The truth error of one projected problem, err(lam)^2 =
+    ||r0||^2 + 2 h' f + f' M f, where h2 = 2 h."""
+
+    proj: ProjectedProblem
+    r0_sq: float
+    M: np.ndarray
+    h2: np.ndarray
+
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
+        return self.at(self.proj.search_coefficients(lam))
+
+    def at(self, F: np.ndarray):
+        """err for coefficients f of z = Vt' f, one row per lambda."""
+        sq = self.r0_sq + (F * (self.h2 + F @ self.M)).sum(axis=-1)
+        return np.sqrt(np.maximum(sq, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -214,20 +245,30 @@ class TruthError:
 def minimize_over_lambda(f, s_max: float) -> float:
     """Minimize ``f`` over lambda in [1e-12 s_max, 1e3 s_max] by log-grid zoom.
 
-    ``f`` takes an array of lambdas and returns one value per lambda.  Each
-    round evaluates it once, on a log grid: first LAMBDA_GRID_POINTS points
-    over the whole window, then LAMBDA_ZOOM_POINTS points between the two
-    neighbours of the previous round's minimizer.  The search stops after the
-    first round whose values all lie within LAMBDA_FLAT_RTOL of that round's
-    minimum, or after LAMBDA_ZOOM_ROUNDS zoom rounds.  The result is the best
-    lambda seen; ties resolve to the smallest minimizing lambda.
+    ``f`` takes an array of positive lambdas and returns one value per
+    lambda.  Each round evaluates it once, on a log grid: first
+    LAMBDA_GRID_POINTS points over the whole window, then LAMBDA_ZOOM_POINTS
+    points per zoom round.  A zoom round spans the bracket that the best
+    point of the previous round and its two neighbours give, or, once two
+    successive rounds have given parabola vertices through their best three
+    points, only LAMBDA_VERTEX_MARGIN times the distance between those
+    vertices on either side of the newer one.  A narrowed round whose minimum
+    lies on its own edge missed the minimizer, and the next round spans what
+    is left of the bracket on that side.  The search stops after the first round whose values all
+    lie within LAMBDA_FLAT_RTOL of that round's minimum, at a zoom round whose
+    minimum is an end of the window, or after LAMBDA_ZOOM_ROUNDS zoom rounds.
+    The result is the best lambda seen; ties resolve to the smallest
+    minimizing lambda.
     """
     if s_max <= 0:
         return 0.0
-    a, b = np.log(LAMBDA_LO_FACTOR * s_max), np.log(LAMBDA_HI_FACTOR * s_max)
+    lo, hi = np.log(LAMBDA_LO_FACTOR * s_max), np.log(LAMBDA_HI_FACTOR * s_max)
+    a, b = lo, hi          # the round's span
+    br_a, br_b = lo, hi    # bracket of the minimizer
     steps = _GRID_STEPS
     best_lam, best_val = 0.0, np.inf
-    for _ in range(1 + LAMBDA_ZOOM_ROUNDS):
+    vertex = None          # the previous round's parabola vertex
+    for zoom in range(1 + LAMBDA_ZOOM_ROUNDS):
         n = steps.size
         x = steps * ((b - a) / (n - 1)) + a
         x[-1] = b  # the exact endpoint, as np.linspace sets it
@@ -239,7 +280,24 @@ def minimize_over_lambda(f, s_max: float) -> float:
             best_lam, best_val = float(lam[i]), vals[i]
         if vals.max() - vals[i] <= LAMBDA_FLAT_RTOL * abs(vals[i]):
             break
-        a, b = x[max(i - 1, 0)], x[min(i + 1, n - 1)]
+        if i == 0 or i == n - 1:
+            if zoom and x[i] in (lo, hi):
+                break  # the minimum is an end of the window
+            # the minimizer lies between the bracket's end on this side and
+            # the edge point's neighbour
+            br_a, br_b = (br_a, x[1]) if i == 0 else (x[-2], br_b)
+            a, b, vertex = br_a, br_b, None
+        else:
+            a, b = br_a, br_b = x[i - 1], x[i + 1]
+            # vertex of the parabola through the best point and its
+            # neighbours; vals[i - 1] > vals[i] <= vals[i + 1], so it lies
+            # within half a step of x[i]
+            fl, f0, fr = vals[i - 1], vals[i], vals[i + 1]
+            new_vertex = x[i] + 0.5 * (x[i + 1] - x[i]) * (fl - fr) / (fl - 2.0 * f0 + fr)
+            if vertex is not None:
+                half = LAMBDA_VERTEX_MARGIN * abs(new_vertex - vertex)
+                a, b = max(new_vertex - half, br_a), min(new_vertex + half, br_b)
+            vertex = new_vertex
         steps = _ZOOM_STEPS
     return best_lam
 
@@ -254,7 +312,7 @@ def select_lambda(strategy, proj: ProjectedProblem, error=None) -> float:
         return strategy.lam
     s_max = proj.s[0] if proj.s.size else 0.0
     if isinstance(strategy, WGCV):
-        return minimize_over_lambda(lambda l: proj.gcv(l, strategy.w), s_max)
+        return minimize_over_lambda(lambda l: proj.search_gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
         if error is None:
             raise ParameterError("Optimal strategy requires its error objective")
@@ -397,12 +455,13 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
             error.extend(fact.QV_matrix(k))
             err = error.objective(proj)
         lam = select_lambda(strategy, proj, err)
-        z = proj.solve(lam)
+        f, misfit, gcv = proj.fit(lam, strategy.w if isinstance(strategy, WGCV) else 1.0)
+        z = proj.Vt.T @ f
         history.append(Iteration(
-            lam=lam, misfit=proj.misfit(lam),
+            lam=lam, misfit=misfit,
             qnorm=float(np.linalg.norm(z)),  # ||x||_Q equals ||z|| in the gen-GK basis
-            gcv=proj.gcv(lam, strategy.w if isinstance(strategy, WGCV) else 1.0),
-            rel_error=None if err is None else float(err(lam) / error.true_norm),
+            gcv=gcv,
+            rel_error=None if err is None else float(err.at(f) / error.true_norm),
             wall_s=time.perf_counter() - t_it, step_s=step_s))
 
         if fact.breakdown is not None:

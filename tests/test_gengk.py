@@ -83,8 +83,9 @@ def test_random_weighted_orthogonality(rng):
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-10
     assert report["orth_V"] <= 1e-10
-    # well conditioned: one Gram-Schmidt pass for u and one for v suffice
-    assert fact.reorth_passes == [2] * fact.k
+    # well conditioned: one Gram-Schmidt pass suffices for each new u, the
+    # side with fewer rows (m < n), and v takes none
+    assert fact.reorth_passes == [1] * fact.k
 
 
 def test_relations_without_reorthogonalization(rng):
@@ -249,9 +250,50 @@ def test_relations_dense_weight_full_reorthogonalization(rng):
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-12
     assert report["resid_AtRinvU"] <= 1e-12
-    # v_16 lies in the span of v_1 .. v_15 up to rounding: the first pass
+    # m > n, so each step orthogonalizes v only, in one pass until v_16,
+    # which lies in the span of v_1 .. v_15 up to rounding: the first pass
     # removes nearly all of it, so DGKS runs a second
-    assert max(fact.reorth_passes) >= 3
+    assert fact.reorth_passes == [1] * 14 + [2]
+
+
+@pytest.mark.parametrize("m, n", [(20, 30), (30, 20)], ids=["m<n", "m>n"])
+def test_a_step_reorthogonalizes_only_the_side_with_fewer_rows(rng, monkeypatch, m, n):
+    A, R, Q, b = random_problem(rng, m, n)
+    rows = []  # row count of every basis a vector is orthogonalized against
+    cgs2 = gengk._cgs2
+
+    def recording(W, x, Mx, next_Mx):
+        if W.shape[1]:
+            rows.append(W.shape[0])
+        return cgs2(W, x, Mx, next_Mx)
+
+    monkeypatch.setattr(gengk, "_cgs2", recording)
+    fact = run_gengk(*wrap(A, R, Q), b, k=10, reorthogonalize=True)
+    assert fact.k == 10
+    assert rows == [min(m, n)] * fact.k
+    report = gengk.krylov_basis_span_check(fact)
+    assert report["orth_U"] <= 1e-12 and report["orth_V"] <= 1e-12
+
+
+def _ill_conditioned_problem(rng, m, n):
+    # singular values over four decades, and weights of condition 1e3
+    r = min(m, n)
+    A = ((random_orthogonal(rng, m)[:, :r] * np.logspace(0, -4, r))
+         @ random_orthogonal(rng, n)[:r, :])
+    return A, random_spd(rng, m, 1e3), random_spd(rng, n, 1e3), rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("m, n", [(120, 200), (200, 120)], ids=["m<n", "m>n"])
+def test_the_side_left_alone_stays_orthogonal_at_depth(m, n):
+    A, R, Q, b = _ill_conditioned_problem(np.random.default_rng(0), m, n)
+    long_side = "orth_V" if m <= n else "orth_U"
+    fact = run_gengk(*wrap(A, R, Q), b, k=90, reorthogonalize=True)
+    assert fact.k == 90
+    report = gengk.krylov_basis_span_check(fact)
+    assert report["orth_U"] <= 1e-10 and report["orth_V"] <= 1e-10
+    # without reorthogonalization the same run loses both bases entirely
+    plain = run_gengk(*wrap(A, R, Q), b, k=90)
+    assert gengk.krylov_basis_span_check(plain)[long_side] > 0.5
 
 
 def _m_orthonormal_block(rng, n, k):

@@ -162,6 +162,22 @@ def test_array_gcv_and_misfit_match_scalar_loop(rng):
                             [proj.coefficients(l) for l in grid], rtol=1e-14, atol=0)
 
 
+def test_search_objectives_match_fit_on_positive_lambdas(rng):
+    # a search round's objectives skip fit's zero-lambda branch; on positive
+    # lambdas they give fit's values
+    cases = [(rng.standard_normal((k + 1, k)), float(rng.random() + 0.5))
+             for k in (1, 3, 12, 40)]
+    cases.append(_rank_deficient_bidiagonal())
+    for B, beta1 in cases:
+        proj = hybrid.ProjectedProblem(B, beta1)
+        s_max = proj.s[0]
+        grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
+        for w in (1.0, 0.8):
+            f, _, gcv = proj.fit(grid, w)
+            npt.assert_allclose(proj.search_gcv(grid, w), gcv, rtol=1e-13, atol=0)
+        npt.assert_allclose(proj.search_coefficients(grid), f, rtol=1e-13, atol=0)
+
+
 def _optimal_setup(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
     fact = run_gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
@@ -337,6 +353,46 @@ def test_search_stops_at_the_first_flat_round(f, s_max, calls):
 
     hybrid.minimize_over_lambda(counting, s_max)
     assert len(counted) == calls
+
+
+def _counting(f, counted):
+    def counting(lam):
+        counted.append(lam.size)
+        return f(lam)
+    return counting
+
+
+@pytest.mark.parametrize("f, end", [
+    (lambda lam: 1.0 / (1.0 + lam), 2e3),       # falls towards lambda_max
+    (lambda lam: np.log1p(lam), 2e-12),          # rises towards lambda_min
+], ids=["falling", "rising"])
+def test_search_stops_at_a_window_end_it_finds_again(f, end):
+    # the grid puts the minimum on the window's end, and the first zoom
+    # round, between that end and its neighbour, puts it there again
+    counted = []
+    lam = hybrid.minimize_over_lambda(_counting(f, counted), 2.0)
+    assert lam == pytest.approx(end, rel=1e-12, abs=0)
+    assert counted == [hybrid.LAMBDA_GRID_POINTS, hybrid.LAMBDA_ZOOM_POINTS]
+
+
+def test_search_converges_superlinearly_at_a_smooth_minimum():
+    # GCV of these random bidiagonals with decaying alphas and betas has an
+    # interior minimum; zoom rounds that only shrink the neighbour bracket
+    # by 8 reach the flat round after 8 or 9 of them
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        k = int(rng.integers(5, 40))
+        B = np.zeros((k + 1, k))
+        B[np.arange(k), np.arange(k)] = rng.uniform(0.5, 1.5, k) * np.logspace(0, -3, k)
+        B[np.arange(1, k + 1), np.arange(k)] = rng.uniform(0.5, 1.5, k) * np.logspace(0, -3, k)
+        proj = hybrid.ProjectedProblem(B, 1.0)
+        s_max = proj.s[0]
+        counted = []
+        lam = hybrid.minimize_over_lambda(_counting(proj.gcv, counted), s_max)
+        assert 1e-12 * s_max < lam < 1e3 * s_max
+        assert len(counted) <= 1 + 6
+        ref = golden_section_lambda(proj.gcv, s_max)
+        assert proj.gcv(lam) <= proj.gcv(ref) * (1 + 1e-12)
 
 
 def test_select_lambda_optimal_self_consistent(rng):

@@ -178,6 +178,32 @@ def test_restarted_variance_matches_dense_up_to_twice_the_dimension():
             npt.assert_allclose(var, exact, rtol=1e-10, atol=0)
 
 
+def test_restarted_factorization_keeps_both_bases_orthonormal(monkeypatch):
+    # each step reorthogonalizes only the side with fewer rows (U when
+    # m <= n), and a restart vector its whole side: the other side must stay
+    # orthonormal through every restart, on the rotated instances too
+    facts = []
+    build = uq.build_posterior_approx
+
+    def capture(fact, Q, lam):
+        facts.append(fact)
+        return build(fact, Q, lam)
+
+    monkeypatch.setattr(uq, "build_posterior_approx", capture)
+    for A, R, Q, b in _restart_instances(np.random.default_rng(7)):
+        uq.restarted_variance_diag(DenseOperator(A), DenseOperator(R),
+                                   DenseOperator(Q), b, 0.7, 2 * A.shape[1])
+    restarted = 0
+    for fact in facts:
+        B = fact.bidiagonal()
+        restarted += np.any(np.diag(B) == 0) or np.any(np.diag(B, -1) == 0)
+        report = gengk.krylov_basis_span_check(fact)
+        assert report["orth_U"] <= 1e-10 and report["orth_V"] <= 1e-10, report
+    # A = 0 with b = 0 returns the prior before any factorization; every
+    # rotated instance restarts
+    assert len(facts) == 25 and restarted >= 20, restarted
+
+
 def test_restarted_variance_keeps_a_block_far_below_the_first():
     # the second block's singular values are 1e-7 of the first's, so the
     # restart's Ritz values are below 1e-14 of the largest; at lam of their
