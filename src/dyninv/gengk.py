@@ -3,17 +3,21 @@
 Produces a small lower-bidiagonal matrix together with bases U and V that are
 orthonormal in the weighted inner products.  The bases are stored as
 column-major blocks allocated once for a given number of steps.  Optional
-one-sided reorthogonalization is available: each step orthogonalizes only the
-new vector of the side with fewer rows (U when m <= n) against that whole
-side, by block classical Gram-Schmidt in its weighted inner product (one
-pass, and a second only when the first shrinks the vector's weighted norm by
-more than 1/sqrt(2), the DGKS criterion), and the other side keeps the plain
-recurrence.  In exact arithmetic the short side's orthogonality carries over
-to the long side (Simon and Zha, SISC 21(6), 2000); in floating point the
-long side's Gram deviation grows roughly like eps cond(B_k), so measure it
-(``krylov_basis_span_check``) on ill-conditioned problems.  It is
-recommended whenever the factorization feeds variance estimation, and
-required by ``gengk_restart``, which continues a reorthogonalized
+reorthogonalization is available: each step orthogonalizes the new vector of
+the side with fewer rows (U when m <= n) against that whole side, by block
+classical Gram-Schmidt in its weighted inner product (one pass, and a second
+only when the first shrinks the vector's weighted norm by more than
+1/sqrt(2), the DGKS criterion).  The other side keeps the plain recurrence
+while an omega-recurrence estimate of its new vector's largest inner product
+with the earlier ones, which costs one weighted norm per step, stays at or
+below LONG_SIDE_ORTH_TOL, and is orthogonalized the same way once it does not.
+In exact arithmetic the short side's orthogonality carries over to the long
+side (Simon and Zha, SISC 21(6), 2000); in floating point the long side's
+loss grows roughly like eps cond(B_k), so the estimate lets well-conditioned
+problems skip nearly all long-side work and keeps ill-conditioned ones
+orthogonal.  Reorthogonalization is recommended whenever the factorization
+feeds variance estimation, and required by ``gengk_restart``, which continues
+a reorthogonalized factorization past a breakdown in the same bases.
 factorization past a breakdown in the same bases.
 """
 
@@ -38,6 +42,15 @@ BREAKDOWN_RTOL = 1e-14
 # fraction of its weighted norm or below lies in its span up to rounding:
 # that side of the factorization is exhausted.
 RESTART_RTOL = 1e-8
+
+# A reorthogonalized factorization orthogonalizes the long side's new vector
+# against its side too once the omega-recurrence estimate of its largest
+# inner product with an earlier vector exceeds LONG_SIDE_ORTH_TOL.  The
+# recurrence charges LONG_SIDE_EPS times the largest alpha/beta so far as the
+# rounding error of each step, and restarts from LONG_SIDE_EPS after an
+# orthogonalized vector.
+LONG_SIDE_ORTH_TOL = 1e-12
+LONG_SIDE_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -66,8 +79,8 @@ class GenGKFactorization:
     betas: list = field(default_factory=list)    # beta_2 .. beta_{k+1}
     breakdown: int | None = None                 # step index at which it occurred;
                                                  # a restart clears it
-    # Gram-Schmidt passes of each step on its reorthogonalized side (the
-    # new u when m <= n, else the new v; 0 without reorthogonalization)
+    # Gram-Schmidt passes of each step (0 without reorthogonalization): the
+    # short side's, plus the long side's when its drift estimate calls for them
     reorth_passes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -77,6 +90,9 @@ class GenGKFactorization:
         self._QV = np.empty_like(self._V)                     # Q v_i
         # filled columns: k + 1 of each, one fewer after a breakdown
         self._nu = self._nv = 0
+        # omega-recurrence estimate of max |<w, w_i>| over the earlier vectors
+        # w_i of the long side, for its newest vector w
+        self._drift = 0.0
 
     @property
     def k(self) -> int:
@@ -99,9 +115,35 @@ class GenGKFactorization:
 
     @property
     def _short_u(self) -> bool:
-        """True when U is the side with fewer rows (m <= n), the one side
-        that a reorthogonalized step orthogonalizes."""
+        """True when U is the side with fewer rows (m <= n), the side that a
+        reorthogonalized step always orthogonalizes."""
         return self.A.rows <= self.A.cols
+
+    def _reorth(self, on_u: bool, coupling: float, x, Mx) -> bool:
+        """Whether a step orthogonalizes its new u (``on_u``) or v, the
+        unnormalized vector ``x`` with weighted product ``Mx``, against its side.
+
+        The short side is always orthogonalized.  On the long side the
+        recurrences beta_{j+1} u_{j+1} = A Q v_j - alpha_j u_j and
+        alpha_{j+1} v_{j+1} = A' R^{-1} u_{j+1} - beta_{j+1} v_j carry the
+        inner products with earlier vectors over from the previous vector,
+        times coupling / ||x|| (alpha_j / beta_{j+1} for u, beta_{j+1} /
+        alpha_{j+1} for v), while the orthogonalized short side and the
+        rounding of the step add at most about LONG_SIDE_EPS times the
+        largest alpha/beta: the omega-recurrence of Larsen's PROPACK with
+        the short side at rounding level (Simon and Zha, SISC 21(6), 2000).
+        It costs one weighted norm, and it grows like eps cond(B_k).
+        """
+        if not self.reorthogonalize:
+            return False
+        if on_u == self._short_u:
+            return True
+        norm = np.sqrt(max(float(np.dot(x, Mx)), 0.0))
+        rounding = LONG_SIDE_EPS * max(self.alphas + self.betas)
+        drift = (coupling * self._drift + rounding) / norm if norm else np.inf
+        reorth = drift > LONG_SIDE_ORTH_TOL
+        self._drift = LONG_SIDE_EPS if reorth else drift
+        return reorth
 
     @property
     def breakdown_tol(self) -> float:
@@ -175,9 +217,9 @@ def _cgs2(W, x, Mx, next_Mx):
 
     Returns ``(x, Mx, x'Mx, passes)``: the squared weighted norm is the one
     the criterion computed last, unclamped (x0'Mx0 when W has no columns).
-    A reorthogonalized step calls it with the filled columns of one side
-    only, the side with fewer rows, and with no columns on the other, so its
-    passes are that one side's.
+    A reorthogonalized step calls it with the filled columns of the side
+    with fewer rows, and with those of the other side only when that side's
+    drift estimate calls for it (no columns otherwise).
     """
     norm_sq = float(np.dot(x, Mx))
     passes = 0
@@ -232,8 +274,9 @@ def _append_next_v(fact: GenGKFactorization, Rinv_u, beta: float) -> int:
     """Append v_{i+1} and alpha_{i+1} from beta_{i+1} and R^{-1} u_{i+1} of the
     stored unit u_{i+1}; a zero alpha is a breakdown.  Returns the passes."""
     v = fact.A.apply_adjoint(Rinv_u) - beta * fact._V[:, fact._nv - 1]
-    alpha, passes = _append_v(fact, v, fact.Q.apply(v), fact.breakdown_tol,
-                              fact.reorthogonalize and not fact._short_u)
+    Qv = fact.Q.apply(v)
+    alpha, passes = _append_v(fact, v, Qv, fact.breakdown_tol,
+                              fact._reorth(False, beta, v, Qv))
     fact.alphas.append(alpha)
     fact.breakdown = None if alpha else fact.k
     return passes
@@ -244,8 +287,9 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
 
     Appends u_{i+1}, beta_{i+1} and, unless breakdown occurs, v_{i+1},
     alpha_{i+1}.  Breakdown is a benign termination, not a failure.  With
-    reorthogonalization only the new vector of the side with fewer rows is
-    orthogonalized against its side.
+    reorthogonalization the new vector of the side with fewer rows is
+    orthogonalized against its side, and that of the other side when its
+    drift estimate exceeds LONG_SIDE_ORTH_TOL (``GenGKFactorization._reorth``).
     """
     if fact.breakdown is not None:
         raise RuntimeError("cannot step a broken-down factorization")
@@ -254,8 +298,9 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
         raise RuntimeError(f"cannot step past the {fact.max_steps} steps the "
                            f"factorization was allocated for")
     u = fact.A.apply(fact._QV[:, k]) - fact.alphas[k] * fact._U[:, k]
-    beta, Rinv_u, passes = _append_u(fact, u, fact.R.solve(u), fact.breakdown_tol,
-                                     fact.reorthogonalize and fact._short_u)
+    Rinv_u = fact.R.solve(u)
+    beta, Rinv_u, passes = _append_u(fact, u, Rinv_u, fact.breakdown_tol,
+                                     fact._reorth(True, fact.alphas[k], u, Rinv_u))
     fact.betas.append(beta)
     fact.reorth_passes.append(passes)
     if beta == 0.0:
@@ -285,6 +330,8 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
         tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u))
         norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol, True)
         if norm:
+            if not fact._short_u:
+                fact._drift = LONG_SIDE_EPS
             _append_next_v(fact, Rinv_u / norm, 0.0)
         return bool(norm)
     v = A.apply_adjoint(rng.standard_normal(A.rows))
@@ -292,6 +339,8 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
     tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv))
     if not _append_v(fact, v, Qv, tol, True)[0]:
         return False
+    if fact._short_u:
+        fact._drift = LONG_SIDE_EPS
     fact.breakdown = None
     return True
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,10 @@ LAMBDA_GRID_POINTS = 200
 # superlinearly.  The search stops early at the first round (the grid
 # included) whose values all lie within LAMBDA_FLAT_RTOL of its minimum:
 # later rounds could only move lambda inside a cell where the objective is
-# flat to rounding.
+# flat to rounding.  A narrowed round spans only part of the bracket, so a
+# flat one is followed by one round over the whole bracket, and the search
+# stops there unless that round finds a value lower by more than
+# LAMBDA_FLAT_RTOL.
 LAMBDA_ZOOM_ROUNDS = 14
 LAMBDA_ZOOM_POINTS = 17
 LAMBDA_VERTEX_MARGIN = 4.0
@@ -80,16 +84,23 @@ class Optimal:
 # Projected problem
 # ----------------------------------------------------------------------
 
+class Fit(NamedTuple):
+    """What ``ProjectedProblem.fit`` gives for one lambda, or for an array
+    of them (one row or entry per lambda)."""
+
+    f: np.ndarray         # coefficients of z(lam) = Vt' f
+    misfit: np.ndarray    # ||B z(lam) - beta1 e1||_2
+    gcv: np.ndarray       # the (weighted) GCV value
+
+
 @dataclass
 class ProjectedProblem:
     """SVD view of the (k+1) x k bidiagonal, reused across lambda values.
 
     ``fit`` gives the coefficients, the misfit and the GCV value from one
     filter evaluation, so lambda = 0 means the same truncated (minimum-norm)
-    solution in all three; ``coefficients``, ``solve``, ``misfit`` and
-    ``gcv`` are its parts.  A lambda search evaluates only positive lambdas,
-    so its objectives, ``search_gcv`` and ``search_coefficients``, skip the
-    zero-lambda branch.
+    solution in all three.  The Tikhonov solution of
+    min ||B z - beta1 e1||^2 + lam^2 ||z||^2 is z = Vt' f.
     """
 
     B: np.ndarray
@@ -117,51 +128,29 @@ class ProjectedProblem:
     def k(self) -> int:
         return self.B.shape[1]
 
-    def fit(self, lam, w: float = 1.0):
+    def fit(self, lam, w: float = 1.0) -> Fit:
         """Coefficients f of z(lam) = Vt' f, the misfit and the (weighted) GCV
-        value from one filter evaluation, for one lambda or an array of them
-        (one row or entry per lambda).
+        value from one filter evaluation, for one lambda or an array of them.
 
-        The filters phi = s^2 / (s^2 + lam^2) and psi = 1 - phi are formed
-        without cancellation.  At lam = 0 the solution is the minimum-norm
-        one on the singular values above s_max * eps * max(B.shape): phi is
-        1 on the kept singular values and psi 1 on the dropped ones.
+        The filters phi = s^2 / (s^2 + lam^2), in f = phi c / s
+        = s c / (s^2 + lam^2), and psi = 1 - phi = lam^2 / (s^2 + lam^2) are
+        formed without cancellation.  At lam = 0 the solution is the
+        minimum-norm one on the singular values above s_max * eps *
+        max(B.shape): phi is 1 on the kept singular values and psi 1 on the
+        dropped ones.  A lambda search passes positive lambdas only, which
+        skip that branch.
         """
         lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
-        zero = lam2 == 0
-        denom = self._s2 + np.where(zero, 1.0, lam2)
-        phi = np.where(zero, self._kept, self._s2 / denom)
-        psi = np.where(zero, self._dropped, lam2 / denom)
+        if lam2.all():
+            denom = self._s2 + lam2
+            psi, f = lam2 / denom, self._sc / denom
+        else:
+            zero = lam2 == 0
+            denom = self._s2 + np.where(zero, 1.0, lam2)
+            psi = np.where(zero, self._dropped, lam2 / denom)
+            f = np.where(zero, self._kept * self._c_over_s, self._sc / denom)
         res_sq = self._residual_sq(psi)
-        return phi * self._c_over_s, np.sqrt(res_sq), self._gcv(psi, res_sq, w)
-
-    def coefficients(self, lam) -> np.ndarray:
-        """Coefficients f of z(lam) = Vt' f, one row per lambda."""
-        return self.fit(lam)[0]
-
-    def solve(self, lam: float) -> np.ndarray:
-        """Tikhonov solution of min ||B z - beta1 e1||^2 + lam^2 ||z||^2."""
-        return self.Vt.T @ self.coefficients(lam)
-
-    def misfit(self, lam):
-        """||B z(lam) - beta1 e1||_2 for one lambda or an array of them."""
-        return self.fit(lam)[1]
-
-    def gcv(self, lam, w: float = 1.0):
-        """(Weighted) GCV value for one lambda or an array of them."""
-        return self.fit(lam, w)[2]
-
-    def search_gcv(self, lam: np.ndarray, w: float) -> np.ndarray:
-        """``gcv`` over an array of positive lambdas (a search round): psi
-        is formed once, with no zero-lambda branch."""
-        lam2 = np.square(lam)[:, None]
-        psi = lam2 / (self._s2 + lam2)
-        return self._gcv(psi, self._residual_sq(psi), w)
-
-    def search_coefficients(self, lam: np.ndarray) -> np.ndarray:
-        """``coefficients`` over an array of positive lambdas (a search
-        round): phi c / s = s c / (s^2 + lam^2), with no zero-lambda branch."""
-        return self._sc / (self._s2 + np.square(lam)[:, None])
+        return Fit(f, np.sqrt(res_sq), self._gcv(psi, res_sq, w))
 
     def _residual_sq(self, psi):
         return psi ** 2 @ self._c2_head + self._c_tail_sq
@@ -230,7 +219,7 @@ class _ProjectedError:
     h2: np.ndarray
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
-        return self.at(self.proj.search_coefficients(lam))
+        return self.at(self.proj.fit(lam).f)
 
     def at(self, F: np.ndarray):
         """err for coefficients f of z = Vt' f, one row per lambda."""
@@ -254,9 +243,13 @@ def minimize_over_lambda(f, s_max: float) -> float:
     points, only LAMBDA_VERTEX_MARGIN times the distance between those
     vertices on either side of the newer one.  A narrowed round whose minimum
     lies on its own edge missed the minimizer, and the next round spans what
-    is left of the bracket on that side.  The search stops after the first round whose values all
-    lie within LAMBDA_FLAT_RTOL of that round's minimum, at a zoom round whose
-    minimum is an end of the window, or after LAMBDA_ZOOM_ROUNDS zoom rounds.
+    is left of the bracket on that side.  The search stops after the first
+    round over the whole bracket (the grid included) whose values all lie
+    within LAMBDA_FLAT_RTOL of that round's minimum, at a zoom round whose
+    minimum is an end of the window, or after LAMBDA_ZOOM_ROUNDS zoom
+    rounds.  A flat narrowed round is followed by a round over the whole
+    bracket, which ends the search too unless it finds a value lower than
+    the flat round's minimum by more than LAMBDA_FLAT_RTOL.
     The result is the best lambda seen; ties resolve to the smallest
     minimizing lambda.
     """
@@ -268,6 +261,8 @@ def minimize_over_lambda(f, s_max: float) -> float:
     steps = _GRID_STEPS
     best_lam, best_val = 0.0, np.inf
     vertex = None          # the previous round's parabola vertex
+    narrowed = False       # the round spans less than the bracket
+    confirm = None         # best value of a flat narrowed round, to confirm
     for zoom in range(1 + LAMBDA_ZOOM_ROUNDS):
         n = steps.size
         x = steps * ((b - a) / (n - 1)) + a
@@ -278,15 +273,22 @@ def minimize_over_lambda(f, s_max: float) -> float:
         # <= moves an equal value to the smaller lambda a later round found
         if vals[i] <= best_val:
             best_lam, best_val = float(lam[i]), vals[i]
-        if vals.max() - vals[i] <= LAMBDA_FLAT_RTOL * abs(vals[i]):
-            break
-        if i == 0 or i == n - 1:
+        tol = LAMBDA_FLAT_RTOL * abs(vals[i])
+        if confirm is not None and vals[i] >= confirm - tol:
+            break  # nothing in the whole bracket is lower
+        confirm = None
+        if vals.max() - vals[i] <= tol:
+            if not narrowed:
+                break
+            # flat only in the part of the bracket that the round spans
+            a, b, vertex, narrowed, confirm = br_a, br_b, None, False, vals[i]
+        elif i == 0 or i == n - 1:
             if zoom and x[i] in (lo, hi):
                 break  # the minimum is an end of the window
             # the minimizer lies between the bracket's end on this side and
             # the edge point's neighbour
             br_a, br_b = (br_a, x[1]) if i == 0 else (x[-2], br_b)
-            a, b, vertex = br_a, br_b, None
+            a, b, vertex, narrowed = br_a, br_b, None, False
         else:
             a, b = br_a, br_b = x[i - 1], x[i + 1]
             # vertex of the parabola through the best point and its
@@ -297,6 +299,7 @@ def minimize_over_lambda(f, s_max: float) -> float:
             if vertex is not None:
                 half = LAMBDA_VERTEX_MARGIN * abs(new_vertex - vertex)
                 a, b = max(new_vertex - half, br_a), min(new_vertex + half, br_b)
+                narrowed = a > br_a or b < br_b
             vertex = new_vertex
         steps = _ZOOM_STEPS
     return best_lam
@@ -312,7 +315,7 @@ def select_lambda(strategy, proj: ProjectedProblem, error=None) -> float:
         return strategy.lam
     s_max = proj.s[0] if proj.s.size else 0.0
     if isinstance(strategy, WGCV):
-        return minimize_over_lambda(lambda l: proj.search_gcv(l, strategy.w), s_max)
+        return minimize_over_lambda(lambda l: proj.fit(l, strategy.w).gcv, s_max)
     if isinstance(strategy, Optimal):
         if error is None:
             raise ParameterError("Optimal strategy requires its error objective")

@@ -35,6 +35,11 @@ def run_gengk(A, R, Q, b, k, reorthogonalize=False):
     return fact
 
 
+def tikhonov(proj, lam):
+    """The projected problem's Tikhonov solution z(lam) = Vt' f."""
+    return proj.Vt.T @ proj.fit(lam).f
+
+
 def random_problem(rng, m, n, cond=100.0):
     """Random (A, R, Q, b) tuple with dense SPD weights."""
     A = rng.standard_normal((m, n))

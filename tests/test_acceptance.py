@@ -15,7 +15,7 @@ from dyninv import priorcov as pc
 from dyninv.linop import (DenseOperator, KroneckerOperator, ScaledIdentityOperator,
                           SparseOperator, identity)
 
-from conftest import random_problem, random_spd, run_gengk
+from conftest import random_problem, random_spd, run_gengk, tikhonov
 
 
 def _report(label, failures):
@@ -258,8 +258,8 @@ def test_acceptance_gcv_machinery():
         beta1 = float(rng.uniform(0.5, 3.0))
         proj = hybrid.ProjectedProblem(B, beta1)
         for lam in np.logspace(-3, 2, 12):
-            g1 = proj.gcv(lam, 1.0)
-            g0 = proj.gcv(lam)
+            g1 = proj.fit(lam, 1.0).gcv
+            g0 = proj.fit(lam).gcv
             _check(failures, abs(g1 - g0) <= 1e-14 * max(1.0, abs(g0)),
                    f"w=1 weighted GCV deviates at lam={lam:.3e}")
 
@@ -270,9 +270,9 @@ def test_acceptance_gcv_machinery():
     fact = run_gengk(*wrap(A, R, Q), d, k=15, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     s_max = proj.s[0]
-    lam_search = hybrid.minimize_over_lambda(proj.gcv, s_max)
+    lam_search = hybrid.minimize_over_lambda(lambda l: proj.fit(l).gcv, s_max)
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 2000)
-    lam_grid = grid[np.argmin([proj.gcv(l) for l in grid])]
+    lam_grid = grid[np.argmin([proj.fit(l).gcv for l in grid])]
     cell = grid[1] / grid[0]
     _check(failures, lam_grid / cell <= lam_search <= lam_grid * cell,
            f"search {lam_search:.4e} vs grid {lam_grid:.4e}")
@@ -287,7 +287,7 @@ def test_acceptance_gcv_machinery():
     s_max = proj.s[0]
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
     p = oracle.DenseProblem(A, R, Q, d, lam=1.0)
-    lam_proj = grid[np.argmin([proj.gcv(l) for l in grid])]
+    lam_proj = grid[np.argmin([proj.fit(l).gcv for l in grid])]
     lam_full = grid[np.argmin([oracle.gcv_full(p, l) for l in grid])]
     cell = grid[1] / grid[0]
     _check(failures, lam_full / cell <= lam_proj <= lam_full * cell,
@@ -310,7 +310,7 @@ def _best_lambda_error(A, R, Q, d, s_true, k, tile=1):
     QV = fact.QV_matrix(fact.k)
     best = np.inf
     for lam in np.logspace(-6, 3, 60) * proj.s[0]:
-        s = QV @ proj.solve(lam)
+        s = QV @ tikhonov(proj, lam)
         if tile > 1:
             s = np.tile(s, tile)
         best = min(best, hybrid.relative_error(s, s_true))

@@ -84,7 +84,8 @@ def test_random_weighted_orthogonality(rng):
     assert report["orth_U"] <= 1e-10
     assert report["orth_V"] <= 1e-10
     # well conditioned: one Gram-Schmidt pass suffices for each new u, the
-    # side with fewer rows (m < n), and v takes none
+    # side with fewer rows (m < n), and v's drift estimate stays far below
+    # LONG_SIDE_ORTH_TOL, so v takes none
     assert fact.reorth_passes == [1] * fact.k
 
 
@@ -250,7 +251,8 @@ def test_relations_dense_weight_full_reorthogonalization(rng):
     report = gengk.krylov_basis_span_check(fact)
     assert report["orth_U"] <= 1e-12
     assert report["resid_AtRinvU"] <= 1e-12
-    # m > n, so each step orthogonalizes v only, in one pass until v_16,
+    # m > n, so each step orthogonalizes v (u's drift estimate stays below
+    # LONG_SIDE_ORTH_TOL), in one pass until v_16,
     # which lies in the span of v_1 .. v_15 up to rounding: the first pass
     # removes nearly all of it, so DGKS runs a second
     assert fact.reorth_passes == [1] * 14 + [2]
@@ -275,17 +277,18 @@ def test_a_step_reorthogonalizes_only_the_side_with_fewer_rows(rng, monkeypatch,
     assert report["orth_U"] <= 1e-12 and report["orth_V"] <= 1e-12
 
 
-def _ill_conditioned_problem(rng, m, n):
-    # singular values over four decades, and weights of condition 1e3
+def _ill_conditioned_problem(rng, m, n, decades):
+    # singular values over the given decades, and weights of condition 1e3
     r = min(m, n)
-    A = ((random_orthogonal(rng, m)[:, :r] * np.logspace(0, -4, r))
+    A = ((random_orthogonal(rng, m)[:, :r] * np.logspace(0, -decades, r))
          @ random_orthogonal(rng, n)[:r, :])
     return A, random_spd(rng, m, 1e3), random_spd(rng, n, 1e3), rng.standard_normal(m)
 
 
+@pytest.mark.parametrize("decades", [4, 6, 8])
 @pytest.mark.parametrize("m, n", [(120, 200), (200, 120)], ids=["m<n", "m>n"])
-def test_the_side_left_alone_stays_orthogonal_at_depth(m, n):
-    A, R, Q, b = _ill_conditioned_problem(np.random.default_rng(0), m, n)
+def test_both_sides_stay_orthogonal_at_depth(m, n, decades):
+    A, R, Q, b = _ill_conditioned_problem(np.random.default_rng(0), m, n, decades)
     long_side = "orth_V" if m <= n else "orth_U"
     fact = run_gengk(*wrap(A, R, Q), b, k=90, reorthogonalize=True)
     assert fact.k == 90
@@ -294,6 +297,23 @@ def test_the_side_left_alone_stays_orthogonal_at_depth(m, n):
     # without reorthogonalization the same run loses both bases entirely
     plain = run_gengk(*wrap(A, R, Q), b, k=90)
     assert gengk.krylov_basis_span_check(plain)[long_side] > 0.5
+
+
+@pytest.mark.parametrize("m, n", [(120, 200), (200, 120)], ids=["m<n", "m>n"])
+def test_the_drift_estimate_orthogonalizes_the_long_side(m, n, monkeypatch):
+    # over 8 decades the long side's Gram deviation grows like eps cond(B_k)
+    # (near 1e7 here) when only the short side is orthogonalized; the drift
+    # estimate orthogonalizes some long-side vectors too and keeps it
+    # 100 times smaller
+    A, R, Q, b = _ill_conditioned_problem(np.random.default_rng(0), m, n, 8)
+    long_side = "orth_V" if m <= n else "orth_U"
+    fact = run_gengk(*wrap(A, R, Q), b, k=90, reorthogonalize=True)
+    assert fact.k < sum(fact.reorth_passes) < 2 * fact.k
+    monkeypatch.setattr(gengk, "LONG_SIDE_ORTH_TOL", np.inf)
+    one_sided = run_gengk(*wrap(A, R, Q), b, k=90, reorthogonalize=True)
+    assert one_sided.reorth_passes == [1] * 90
+    assert (gengk.krylov_basis_span_check(one_sided)[long_side]
+            > 100 * gengk.krylov_basis_span_check(fact)[long_side])
 
 
 def _m_orthonormal_block(rng, n, k):

@@ -8,7 +8,7 @@ from dyninv import priorcov as pc
 from dyninv.linop import DenseOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
 
-from conftest import random_problem, run_gengk
+from conftest import random_problem, run_gengk, tikhonov
 
 
 def wrap(A, R, Q):
@@ -21,13 +21,13 @@ def wrap(A, R, Q):
 
 def test_projected_tikhonov_scalar():
     B = np.array([[1.0], [0.0]])
-    z = hybrid.ProjectedProblem(B, beta1=5.0).solve(2.0)
+    z = tikhonov(hybrid.ProjectedProblem(B, beta1=5.0), 2.0)
     npt.assert_allclose(z, [1.0])  # (1 + 4) z = 5
 
 
 def test_projected_tikhonov_large_lambda():
     B = np.array([[1.0], [0.5]])
-    z = hybrid.ProjectedProblem(B, beta1=1.0).solve(1e8)
+    z = tikhonov(hybrid.ProjectedProblem(B, beta1=1.0), 1e8)
     assert np.linalg.norm(z) < 1e-14
 
 
@@ -38,7 +38,7 @@ def test_projected_matches_dense_normal_equations(rng):
     fact = run_gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
                      reorthogonalize=True)
     B = fact.bidiagonal()
-    z = hybrid.ProjectedProblem(B, fact.beta1).solve(lam)
+    z = tikhonov(hybrid.ProjectedProblem(B, fact.beta1), lam)
     s = fact.QV_matrix() @ z
     expected = np.linalg.solve(A.T @ A + lam ** 2 * np.eye(2), A.T @ b)
     npt.assert_allclose(s, expected, rtol=1e-12)
@@ -47,21 +47,21 @@ def test_projected_matches_dense_normal_equations(rng):
 def test_projected_gcv_analytic():
     proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
     # G = 1 * 25 * (1/2)^2 / (2 - 1/2)^2 = 6.25 / 2.25
-    assert proj.gcv(1.0) == pytest.approx(6.25 / 2.25, rel=1e-12)
-    assert proj.gcv(1.0) == pytest.approx(2.7778, abs=1e-4)
+    assert proj.fit(1.0).gcv == pytest.approx(6.25 / 2.25, rel=1e-12)
+    assert proj.fit(1.0).gcv == pytest.approx(2.7778, abs=1e-4)
 
 
 def test_projected_gcv_large_lambda_limit():
     B = np.array([[1.0, 0.0], [0.7, 2.0], [0.0, 0.3]])
     k, beta1 = 2, 3.0
-    G = hybrid.ProjectedProblem(B, beta1).gcv(1e10)
+    G = hybrid.ProjectedProblem(B, beta1).fit(1e10).gcv
     assert G == pytest.approx(k * beta1 ** 2 / (k + 1) ** 2, rel=1e-6)
 
 
 def test_projected_wgcv():
     proj = hybrid.ProjectedProblem(np.array([[1.0], [0.0]]), 5.0)
-    assert proj.gcv(1.0, w=0.5) == pytest.approx(6.25 / 3.0625, rel=1e-12)
-    assert proj.gcv(1.0, w=0.5) == pytest.approx(2.0408, abs=1e-4)
+    assert proj.fit(1.0, w=0.5).gcv == pytest.approx(6.25 / 3.0625, rel=1e-12)
+    assert proj.fit(1.0, w=0.5).gcv == pytest.approx(2.0408, abs=1e-4)
     with pytest.raises(ParameterError):
         hybrid.WGCV(1.5)
 
@@ -73,8 +73,8 @@ def test_wgcv_w1_equals_gcv(rng):
         beta1 = float(rng.random() + 0.5)
         lam = float(10 ** rng.uniform(-3, 2))
         proj = hybrid.ProjectedProblem(B, beta1)
-        assert proj.gcv(lam, w=1.0) == pytest.approx(
-            proj.gcv(lam), abs=1e-14, rel=1e-14)
+        assert proj.fit(lam, w=1.0).gcv == pytest.approx(
+            proj.fit(lam).gcv, abs=1e-14, rel=1e-14)
 
 
 def _rank_deficient_bidiagonal():
@@ -91,17 +91,17 @@ def _rank_deficient_bidiagonal():
 
 
 def test_lambda_zero_misfit_and_gcv_agree_with_solve():
-    # solve(0) drops s_2 = 1e-17; misfit(0) and gcv(0) must treat it as
+    # z(0) drops s_2 = 1e-17; the misfit and GCV value at 0 must treat it as
     # unfitted too
     HB, beta1 = _rank_deficient_bidiagonal()
     proj = hybrid.ProjectedProblem(HB, beta1)
-    z = proj.solve(0.0)
+    z = tikhonov(proj, 0.0)
     npt.assert_allclose(np.abs(z), [1.0, 0.0], atol=1e-12)
     resid = np.linalg.norm(HB @ z - beta1 * np.eye(3)[0])
     assert resid == pytest.approx(np.sqrt(1.0 + 0.25), rel=1e-12)
-    assert proj.misfit(0.0) == pytest.approx(resid, rel=1e-12)
+    assert proj.fit(0.0).misfit == pytest.approx(resid, rel=1e-12)
     # one fitted singular value: G = k * r^2 / (k + 1 - 1)^2
-    assert proj.gcv(0.0) == pytest.approx(2 * resid ** 2 / 4.0, rel=1e-12)
+    assert proj.fit(0.0).gcv == pytest.approx(2 * resid ** 2 / 4.0, rel=1e-12)
 
 
 def _filter_reference(proj, lam, w):
@@ -139,13 +139,15 @@ def test_gcv_and_misfit_match_the_two_filter_formula(rng):
                                                  np.log10(1e3 * s_max), 200)])
         for w in (1.0, 0.8):
             gcv, misfit = _filter_reference(proj, lam, w)
-            for got, ref in ((proj.gcv(lam, w), gcv), (proj.misfit(lam), misfit)):
+            for got, ref in ((proj.fit(lam, w).gcv, gcv), (proj.fit(lam).misfit, misfit)):
                 # relative, or absolute where the reference is zero
                 scale = np.where(ref == 0, 1.0, np.abs(ref))
                 assert np.max(np.abs(got - ref) / scale) <= 1e-13
 
 
 def test_array_gcv_and_misfit_match_scalar_loop(rng):
+    # the array holds lambda = 0, so fit takes its zero-lambda branch on it,
+    # and the positive lambdas one at a time take the branch without it
     for _ in range(5):
         k = int(rng.integers(1, 12))
         proj = hybrid.ProjectedProblem(rng.standard_normal((k + 1, k)),
@@ -154,28 +156,12 @@ def test_array_gcv_and_misfit_match_scalar_loop(rng):
         grid = np.concatenate([[0.0], np.logspace(np.log10(1e-12 * s_max),
                                                   np.log10(1e3 * s_max), 200)])
         for w in (1.0, 0.8):
-            npt.assert_allclose(proj.gcv(grid, w), [proj.gcv(l, w) for l in grid],
+            npt.assert_allclose(proj.fit(grid, w).gcv, [proj.fit(l, w).gcv for l in grid],
                                 rtol=1e-14, atol=0)
-        npt.assert_allclose(proj.misfit(grid), [proj.misfit(l) for l in grid],
+        npt.assert_allclose(proj.fit(grid).misfit, [proj.fit(l).misfit for l in grid],
                             rtol=1e-14, atol=0)
-        npt.assert_allclose(proj.coefficients(grid),
-                            [proj.coefficients(l) for l in grid], rtol=1e-14, atol=0)
-
-
-def test_search_objectives_match_fit_on_positive_lambdas(rng):
-    # a search round's objectives skip fit's zero-lambda branch; on positive
-    # lambdas they give fit's values
-    cases = [(rng.standard_normal((k + 1, k)), float(rng.random() + 0.5))
-             for k in (1, 3, 12, 40)]
-    cases.append(_rank_deficient_bidiagonal())
-    for B, beta1 in cases:
-        proj = hybrid.ProjectedProblem(B, beta1)
-        s_max = proj.s[0]
-        grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
-        for w in (1.0, 0.8):
-            f, _, gcv = proj.fit(grid, w)
-            npt.assert_allclose(proj.search_gcv(grid, w), gcv, rtol=1e-13, atol=0)
-        npt.assert_allclose(proj.search_coefficients(grid), f, rtol=1e-13, atol=0)
+        npt.assert_allclose(proj.fit(grid).f,
+                            [proj.fit(l).f for l in grid], rtol=1e-14, atol=0)
 
 
 def _optimal_setup(rng):
@@ -198,7 +184,7 @@ def test_optimal_error_matches_direct_evaluation(rng, masked):
         proj = hybrid.ProjectedProblem(fact.bidiagonal(k), fact.beta1)
         grid = np.logspace(np.log10(1e-12 * proj.s[0]), np.log10(1e3 * proj.s[0]),
                            200)
-        direct = [np.linalg.norm((mu + QV @ proj.solve(l) - s_true)[keep])
+        direct = [np.linalg.norm((mu + QV @ tikhonov(proj, l) - s_true)[keep])
                   for l in grid]
         npt.assert_allclose(error.objective(proj)(grid), direct, rtol=1e-10)
 
@@ -214,7 +200,7 @@ def test_optimal_selection_matches_direct_closure(rng):
         def direct(lam):
             # the error as the solver evaluated it before the Gram identity:
             # one reconstruction per lambda
-            return np.linalg.norm(mu + QV[:, :k] @ proj.solve(lam) - s_true)
+            return np.linalg.norm(mu + QV[:, :k] @ tikhonov(proj, lam) - s_true)
 
         def oracle_closure(lam):
             lam = np.asarray(lam, dtype=float)
@@ -259,9 +245,9 @@ def test_search_matches_fine_grid(rng):
         B = rng.standard_normal((k + 1, k))
         proj = hybrid.ProjectedProblem(B, 1.0)
         s_max = proj.s[0]
-        lam = hybrid.minimize_over_lambda(proj.gcv, s_max)
+        lam = hybrid.minimize_over_lambda(lambda l: proj.fit(l).gcv, s_max)
         grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 2000)
-        lam_grid = grid[np.argmin([proj.gcv(l) for l in grid])]
+        lam_grid = grid[np.argmin([proj.fit(l).gcv for l in grid])]
         # within one cell of the fine grid
         ratio = grid[1] / grid[0]
         assert lam_grid / ratio <= lam <= lam_grid * ratio
@@ -388,11 +374,31 @@ def test_search_converges_superlinearly_at_a_smooth_minimum():
         proj = hybrid.ProjectedProblem(B, 1.0)
         s_max = proj.s[0]
         counted = []
-        lam = hybrid.minimize_over_lambda(_counting(proj.gcv, counted), s_max)
+        lam = hybrid.minimize_over_lambda(_counting(lambda l: proj.fit(l).gcv, counted), s_max)
         assert 1e-12 * s_max < lam < 1e3 * s_max
         assert len(counted) <= 1 + 6
-        ref = golden_section_lambda(proj.gcv, s_max)
-        assert proj.gcv(lam) <= proj.gcv(ref) * (1 + 1e-12)
+        ref = golden_section_lambda(lambda l: proj.fit(l).gcv, s_max)
+        assert proj.fit(lam).gcv <= proj.fit(ref).gcv * (1 + 1e-12)
+
+
+def test_search_confirms_a_flat_narrowed_round_over_the_whole_bracket():
+    # a parabola in log-lambda gives the grid and the first zoom round the
+    # same vertex c, so the next round is narrowed to nothing around c and is
+    # flat; the deeper minimum, a narrow dip between two points of the first
+    # zoom round, lies elsewhere in the bracket
+    lo, hi = np.log(hybrid.LAMBDA_LO_FACTOR), np.log(hybrid.LAMBDA_HI_FACTOR)
+    step = (hi - lo) / (hybrid.LAMBDA_GRID_POINTS - 1)
+    c = lo + 150.3 * step
+    zoom = np.linspace(lo + 149 * step, lo + 151 * step, hybrid.LAMBDA_ZOOM_POINTS)
+    d = zoom[np.argmin(np.abs(zoom - c))] + 0.5 * (zoom[1] - zoom[0])
+
+    def f(lam):
+        x = np.log(lam)
+        return (x - c) ** 2 - np.exp(-((x - d) / 1e-3) ** 2)
+
+    lam = hybrid.minimize_over_lambda(f, 1.0)
+    assert abs(np.log(lam) - d) < 1e-6
+    assert f(np.array([lam]))[0] <= f(np.array([np.exp(d)]))[0] * (1 - 1e-12)
 
 
 def test_select_lambda_optimal_self_consistent(rng):
@@ -401,12 +407,12 @@ def test_select_lambda_optimal_self_consistent(rng):
     fact = run_gengk(Aop, Rop, Qop, b, k=15, reorthogonalize=True)
     proj = hybrid.ProjectedProblem(fact.bidiagonal(fact.k), fact.beta1)
     QV = fact.QV_matrix(fact.k)
-    s_target = QV @ proj.solve(1.0)
+    s_target = QV @ tikhonov(proj, 1.0)
     error = hybrid.TruthError(np.zeros(QV.shape[0]), s_target, fact.k)
     error.extend(QV)
     lam = hybrid.select_lambda(hybrid.Optimal(s_target), proj,
                                error=error.objective(proj))
-    err = np.linalg.norm(QV @ proj.solve(lam) - s_target)
+    err = np.linalg.norm(QV @ tikhonov(proj, lam) - s_target)
     assert err <= 1e-6 * np.linalg.norm(s_target)
 
 
@@ -465,7 +471,7 @@ def test_shift_invariance(rng):
     proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
     prior = PriorModel.zero_mean(Qop)
     for lam in (0.3, 3.0):
-        z = proj.solve(lam)
+        z = tikhonov(proj, lam)
         s_shared = fact.QV_matrix() @ z
         res = hybrid.genhybr_solve(Aop, Rop, prior, b, hybrid.Fixed(lam),
                                    hybrid.SolverOptions(max_iter=10,
@@ -483,7 +489,7 @@ def test_monotone_data_fit(rng):
         if fact.breakdown is not None:
             break
         proj = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
-        misfits.append(proj.misfit(0.0))
+        misfits.append(proj.fit(0.0).misfit)
     assert np.all(np.diff(misfits) <= 1e-10)
 
 
@@ -552,7 +558,7 @@ def test_rel_error_matches_the_reconstruction_at_every_iteration(kind, strategy)
                                s_true=inst.s_true)
     fact = res.factorization
     for i, it in enumerate(res.history, 1):
-        z = hybrid.ProjectedProblem(fact.bidiagonal(i), fact.beta1).solve(it.lam)
+        z = tikhonov(hybrid.ProjectedProblem(fact.bidiagonal(i), fact.beta1), it.lam)
         direct = hybrid.relative_error(prior.mean + fact.QV_matrix(i) @ z,
                                        inst.s_true, mask)
         assert it.rel_error == pytest.approx(direct, rel=1e-10)

@@ -123,7 +123,7 @@ def test_gcv_full_vs_projected_at_full_rank(rng):
     s_max = proj.s[0]
     grid = np.logspace(np.log10(1e-12 * s_max), np.log10(1e3 * s_max), 200)
     p = oracle.DenseProblem(A, R, Q, d, lam=1.0)
-    lam_proj = grid[np.argmin([proj.gcv(l) for l in grid])]
+    lam_proj = grid[np.argmin([proj.fit(l).gcv for l in grid])]
     lam_full = grid[np.argmin([oracle.gcv_full(p, l) for l in grid])]
     ratio = grid[1] / grid[0]
     assert lam_full / ratio <= lam_proj <= lam_full * ratio
