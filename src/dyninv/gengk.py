@@ -18,7 +18,6 @@ problems skip nearly all long-side work and keeps ill-conditioned ones
 orthogonal.  Reorthogonalization is recommended whenever the factorization
 feeds variance estimation, and required by ``gengk_restart``, which continues
 a reorthogonalized factorization past a breakdown in the same bases.
-factorization past a breakdown in the same bases.
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ class GenGKFactorization:
         rounding of the step add at most about LONG_SIDE_EPS times the
         largest alpha/beta: the omega-recurrence of Larsen's PROPACK with
         the short side at rounding level (Simon and Zha, SISC 21(6), 2000).
-        It costs one weighted norm, and it grows like eps cond(B_k).
+        It costs one weighted norm, and it grows like eps cond(B_k).  The
+        long side's estimate for the new vector is kept for the next step.
         """
         if not self.reorthogonalize:
             return False

@@ -259,7 +259,7 @@ def test_relations_dense_weight_full_reorthogonalization(rng):
 
 
 @pytest.mark.parametrize("m, n", [(20, 30), (30, 20)], ids=["m<n", "m>n"])
-def test_a_step_reorthogonalizes_only_the_side_with_fewer_rows(rng, monkeypatch, m, n):
+def test_a_well_conditioned_step_reorthogonalizes_only_the_side_with_fewer_rows(rng, monkeypatch, m, n):
     A, R, Q, b = random_problem(rng, m, n)
     rows = []  # row count of every basis a vector is orthogonalized against
     cgs2 = gengk._cgs2
