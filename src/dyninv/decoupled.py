@@ -189,9 +189,10 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     ``threads`` > 1 runs the subproblems in a thread pool, which at desk
     scale costs time: the subproblems are interpreter-bound and contend for
     the interpreter lock.  At n_s = 1,024 (the ``deblur-decoupled``
-    benchmark, seed 1) two solver threads took 1.6 to 1.9 times as long as
-    one: in-process medians of seven solves of 0.21-0.29 s against
-    0.12-0.18 s (2-core x86-64 VM, one BLAS thread).
+    benchmark, seed 1) two solver threads took 1.07 to 1.41 times as long
+    as one, best and median of nine in-process solves per thread count over
+    two runs of ``results/pr21/thread_cost.py`` (output in
+    ``results/pr21/thread_cost.txt``; 2-core x86-64 VM, one BLAS thread).
     """
     if isinstance(strategy, hybrid.Optimal):
         raise ParameterError(

@@ -92,6 +92,8 @@ class GenGKFactorization:
         # omega-recurrence estimate of max |<w, w_i>| over the earlier vectors
         # w_i of the long side, for its newest vector w
         self._drift = 0.0
+        # hybrid.ProjectedProblem of the newest B_k, kept by ProjectedProblem.of
+        self._projected = None
 
     @property
     def k(self) -> int:

@@ -124,6 +124,19 @@ class ProjectedProblem:
                                    where=s > 0)
         self._sc = s * self.c[: s.size]
 
+    @classmethod
+    def of(cls, fact: gk.GenGKFactorization) -> ProjectedProblem:
+        """The projected problem of ``fact``'s newest B_k, with one SVD per k.
+
+        The factorization keeps the last one built and returns it while its
+        k is current.  That is exact: steps and restarts only append to the
+        factorization, so B_k never changes after its step.
+        """
+        proj = fact._projected
+        if proj is None or proj.k != fact.k:
+            proj = fact._projected = cls(fact.bidiagonal(), fact.beta1)
+        return proj
+
     @property
     def k(self) -> int:
         return self.B.shape[1]
@@ -453,7 +466,7 @@ def genhybr_solve(A: LinearOperator, R: LinearOperator, prior: PriorModel, d,
         step_s = time.perf_counter() - t_it + (init_time if fact.k == 1 else 0.0)
         k = fact.k
 
-        proj = ProjectedProblem(fact.bidiagonal(k), fact.beta1)
+        proj = ProjectedProblem.of(fact)
         if error is not None:
             error.extend(fact.QV_matrix(k))
             err = error.objective(proj)

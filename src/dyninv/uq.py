@@ -2,9 +2,10 @@
 
 The posterior covariance (lam^2 Q^{-1} + A'R^{-1}A)^{-1} is approximated as a
 low-rank downdate of the scaled prior: lam^{-2} Q - Z_k Delta_k Z_k', where
-Z_k = Q V_k W_k comes from the eigendecomposition of B_k'B_k (taken from the
-SVD of B_k that ``hybrid.ProjectedProblem`` computes) and Delta_k holds
-lam^{-2} theta_i / (theta_i + lam^2).
+Z_k = Q V_k W_k comes from the eigendecomposition of B_k'B_k and Delta_k holds
+lam^{-2} theta_i / (theta_i + lam^2).  The eigendecomposition is taken from
+the SVD of B_k in ``hybrid.ProjectedProblem.of``: for the factorization of a
+solve, the one its last iteration computed, so B_k is decomposed once.
 
 Z_k is never stored.  The approximation keeps the factorization's Q V_k view
 and the k x k' matrix W_k, and the diagonal of the downdate is summed over
@@ -57,13 +58,16 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
                            lam: float) -> PosteriorApprox:
     """Assemble the low-rank posterior approximation from a factorization.
 
-    Reorthogonalized factorizations are recommended; without it the Ritz pairs
-    degrade and so do the variance estimates.
+    The SVD of B_k comes from ``hybrid.ProjectedProblem.of(fact)``: the
+    factorization keeps the projected problem of its newest B_k, so after a
+    solve no second SVD is computed, and after a further step one new one
+    is.  Reorthogonalized factorizations are recommended; without it the
+    Ritz pairs degrade and so do the variance estimates.
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
     # eigendecomposition of B'B from the SVD of B avoids squaring conditioning
-    proj = ProjectedProblem(fact.bidiagonal(), fact.beta1)
+    proj = ProjectedProblem.of(fact)
     thetas = proj.s ** 2
     keep = thetas > THETA_RTOL * lam ** 2
     thetas = thetas[keep]

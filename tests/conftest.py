@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyninv.gengk import gengk_init, gengk_step
+from dyninv.hybrid import ProjectedProblem
 from dyninv.linop import DenseOperator
 
 
@@ -52,6 +53,27 @@ def random_problem(rng, m, n, cond=100.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def projected_svds(monkeypatch):
+    """The k of every ProjectedProblem constructed (one SVD of B_k each) from
+    here on."""
+    built = []
+    post_init = ProjectedProblem.__post_init__
+
+    def counting(self):
+        built.append(self.k)
+        post_init(self)
+
+    monkeypatch.setattr(ProjectedProblem, "__post_init__", counting)
+    return built
+
+
+def fresh_projections(monkeypatch):
+    """Make ``ProjectedProblem.of`` build a new problem from B_k every call."""
+    monkeypatch.setattr(ProjectedProblem, "of", classmethod(
+        lambda cls, fact: cls(fact.bidiagonal(), fact.beta1)))
 
 
 def as_op(M):

@@ -3,11 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from dyninv.errors import ParameterError, ShapeError
-from dyninv import decoupled, hybrid, oracle, problems
+from dyninv import decoupled, hybrid, oracle, problems, uq
 from dyninv.linop import DenseOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
 
-from conftest import random_spd
+from conftest import fresh_projections, random_spd
 
 
 def kron_instance(rng, n_s=9, n_t=3, m_bar=None):
@@ -122,6 +122,23 @@ def test_threads_match_serial(rng):
     parallel = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d,
                                          hybrid.Fixed(1.0), opts, threads=4)
     npt.assert_array_equal(serial.s, parallel.s)
+
+
+def test_variance_reuses_every_subproblems_projected_problem(rng, projected_svds,
+                                                            monkeypatch):
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=8, n_t=4, m_bar=6)
+    res = decoupled.decoupled_solve(
+        At, As, Rt, Rs, Qt, Qs, d, hybrid.WGCV(),
+        hybrid.SolverOptions(max_iter=6, reorthogonalize=True), per_time_lambda=True)
+    facts = {i: r.factorization for i, r in enumerate(res.sub_results)}
+    assert len(facts) == 4 and all(f is not None for f in facts.values())
+    plan = decoupled.build_plan(At, As, Rt, Rs, Qt, Qs, d)
+    projected_svds.clear()
+    var = uq.decoupled_variance_diag(plan, facts, 1.0)
+    assert projected_svds == []
+    fresh_projections(monkeypatch)
+    npt.assert_array_equal(var, uq.decoupled_variance_diag(plan, facts, 1.0))
+    assert projected_svds == [f.k for f in facts.values()]
 
 
 def test_shared_lambda_requires_fixed_strategy(rng):

@@ -381,6 +381,21 @@ def test_search_converges_superlinearly_at_a_smooth_minimum():
         assert proj.fit(lam).gcv <= proj.fit(ref).gcv * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("c", [0.3, -2.0, 1.7])
+def test_search_ends_at_the_vertex_of_an_exact_parabola(c):
+    # two successive parabola vertices of (log lam - c)^2 agree to the last
+    # bit, so the next round has zero width: every point is the vertex, the
+    # round is flat, and the round over the whole bracket that confirms it
+    # ends the search.
+    # Treating the zero width as "no narrowing" instead keeps zooming the
+    # bracket to the round cap (15 calls each).
+    counted = []
+    lam = hybrid.minimize_over_lambda(_counting(lambda l: (np.log(l) - c) ** 2, counted),
+                                      1.0)
+    assert len(counted) <= 5
+    assert abs(np.log(lam) - c) <= 1e-12
+
+
 def test_search_confirms_a_flat_narrowed_round_over_the_whole_bracket():
     # a parabola in log-lambda gives the grid and the first zoom round the
     # same vertex c, so the next round is narrowed to nothing around c and is

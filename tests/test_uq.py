@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from dyninv.errors import ParameterError
 from dyninv import decoupled, gengk, hybrid, oracle, uq
 from dyninv.linop import DenseOperator, DiagonalOperator, SparseOperator, identity
+from dyninv.priorcov import PriorModel
 
-from conftest import (block_restart_instance, random_orthogonal, random_problem,
-                      random_spd, run_gengk)
+from conftest import (block_restart_instance, fresh_projections, random_orthogonal,
+                      random_problem, random_spd, run_gengk)
 
 
 def wrap(A, R, Q):
@@ -82,6 +83,49 @@ def test_deflation_bound_and_monotone(rng):
             assert np.all(var <= prev + 1e-10)
         prev = var
     npt.assert_allclose(prev, uq.variance_diag(approx), rtol=1e-12)
+
+
+def _variance(fact, Q, lam):
+    return uq.variance_diag(uq.build_posterior_approx(fact, Q, lam))
+
+
+def _wgcv_solve(rng, opts):
+    A, R, Q, b = random_problem(rng, 30, 20)
+    Aop, Rop, Qop = wrap(A, R, Q)
+    return hybrid.genhybr_solve(Aop, Rop, PriorModel.zero_mean(Qop), b,
+                                hybrid.WGCV(), opts), Qop
+
+
+def test_variance_reuses_the_solves_projected_problem(rng, projected_svds,
+                                                      monkeypatch):
+    # the solve's last iteration decomposed B_k; the variance takes that SVD
+    res, Q = _wgcv_solve(rng, hybrid.SolverOptions(max_iter=12, reorthogonalize=True))
+    projected_svds.clear()
+    var = _variance(res.factorization, Q, res.lam)
+    assert projected_svds == []
+    fresh_projections(monkeypatch)
+    npt.assert_array_equal(var, _variance(res.factorization, Q, res.lam))
+    assert projected_svds == [res.factorization.k]
+
+
+def test_a_further_step_gets_the_svd_of_its_own_bidiagonal(rng, projected_svds,
+                                                            monkeypatch):
+    # a GCV-flat stop leaves room in the factorization for one more step
+    res, Q = _wgcv_solve(rng, hybrid.SolverOptions(max_iter=12, reorthogonalize=True,
+                                                   gcv_flat_tol=1.0))
+    assert res.stop_reason == "gcv-flat"
+    fact = gengk.gengk_step(res.factorization)
+    assert fact.k == res.iterations + 1
+    projected_svds.clear()
+    proj = hybrid.ProjectedProblem.of(fact)
+    assert projected_svds == [fact.k]
+    fresh = hybrid.ProjectedProblem(fact.bidiagonal(), fact.beta1)
+    for name in ("B", "s", "Vt", "c"):
+        npt.assert_array_equal(getattr(proj, name), getattr(fresh, name))
+    var = _variance(fact, Q, res.lam)
+    assert hybrid.ProjectedProblem.of(fact) is proj
+    fresh_projections(monkeypatch)
+    npt.assert_array_equal(var, _variance(fact, Q, res.lam))
 
 
 def test_decoupled_variance_diagonal_forward():
