@@ -7,13 +7,13 @@ R_t^{-1/2} A_t L_t^T (with Q_t = L_t^T L_t).  Each subproblem is solved with
 the simultaneous hybrid solver, whose zero-mean solutions Q_s z_i are
 recombined via S = (Q_s Z) V_t^T L_t^{-T} Q_t^T.
 
-The subproblems are independent and may run in a thread pool, though at
-desk scale that is slower than running them in turn (see ``decoupled_solve``).
+The subproblems are independent, and they run in turn in the calling thread:
+at desk scale they are interpreter-bound, so a thread pool made them slower
+(see ``decoupled_solve``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,13 +186,15 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     Optimal is rejected either way: the subproblem unknowns are transformed
     coefficients, which have no truth to measure an error against.
 
-    ``threads`` > 1 runs the subproblems in a thread pool, which at desk
-    scale costs time: the subproblems are interpreter-bound and contend for
-    the interpreter lock.  At n_s = 1,024 (the ``deblur-decoupled``
-    benchmark, seed 1) two solver threads took 1.07 to 1.41 times as long
-    as one, best and median of nine in-process solves per thread count over
-    two runs of ``results/pr21/thread_cost.py`` (output in
-    ``results/pr21/thread_cost.txt``; 2-core x86-64 VM, one BLAS thread).
+    The subproblems run in turn in the calling thread.  ``threads`` is
+    accepted and ignored; it goes once the benchmark stops passing it.  A
+    thread pool cost time at desk scale: the subproblems are
+    interpreter-bound and contend for the interpreter lock.  At n_s = 1,024
+    (the ``deblur-decoupled`` benchmark, seed 1) two solver threads took
+    1.07 to 1.41 times as long as one, best and median of nine in-process
+    solves per thread count over two runs of ``results/pr21/thread_cost.py``
+    (output in ``results/pr21/thread_cost.txt``; 2-core x86-64 VM, one BLAS
+    thread).
     """
     if isinstance(strategy, hybrid.Optimal):
         raise ParameterError(
@@ -205,14 +207,7 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
         )
     plan = build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu)
 
-    def run(i):
-        return solve_subproblem(plan, i, strategy, options)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(plan.n_t)))
-    else:
-        results = [run(i) for i in range(plan.n_t)]
+    results = [solve_subproblem(plan, i, strategy, options) for i in range(plan.n_t)]
 
     S = recombine(plan, np.column_stack([s for s, _ in results]))
     return DecoupledResult(S=S, sub_results=[r for _, r in results])

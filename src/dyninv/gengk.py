@@ -23,12 +23,11 @@ a reorthogonalized factorization past a breakdown in the same bases.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import ConditioningError, DegenerateInputError
 from .linop import LinearOperator
 
 # A new alpha/beta at or below this fraction of the largest alpha/beta so far
@@ -152,16 +151,22 @@ class GenGKFactorization:
         return BREAKDOWN_RTOL * max(self.alphas + self.betas)
 
 
-def _weighted_norm_sq(v, Mv, tol: float = 0.0) -> float:
-    return _clamped_norm_sq(float(np.dot(v, Mv)), tol)
+def _weighted_norm_sq(v, Mv, weight: str) -> float:
+    return _clamped_norm_sq(float(np.dot(v, Mv)), weight)
 
 
-def _clamped_norm_sq(s: float, tol: float = 0.0) -> float:
+def _clamped_norm_sq(s: float, weight: str, tol: float = 0.0) -> float:
+    """The squared norm s = x' M x in the weight M (named ``weight``), at least 0.
+
+    A negative s whose square root is at most ``tol`` is rounding at
+    breakdown, where x has collapsed to rounding noise, and reads as 0.  Any
+    other negative s means M is not positive definite, and raises
+    ``ConditioningError``.
+    """
     if s < 0:
-        # benign at breakdown, where v itself has collapsed to rounding noise
         if np.sqrt(-s) > tol:
-            warnings.warn("weighted norm clamped at zero; operator may have "
-                          "lost positive definiteness", RuntimeWarning)
+            raise ConditioningError(f"{weight} is not positive definite (a weighted "
+                                    f"squared norm came out {s:.3e})")
         s = 0.0
     return s
 
@@ -176,11 +181,11 @@ def _operator_scale(A: LinearOperator, R: LinearOperator, Q: LinearOperator) -> 
     """
     y = np.random.default_rng(0).standard_normal(A.rows)
     Rinv_y = R.solve(y)
-    y_sq = _weighted_norm_sq(y, Rinv_y)
+    y_sq = _weighted_norm_sq(y, Rinv_y, "R")
     if y_sq <= 0.0:
         return 0.0
     w = A.apply_adjoint(Rinv_y)
-    return float(np.sqrt(_weighted_norm_sq(w, Q.apply(w)) / y_sq))
+    return float(np.sqrt(_weighted_norm_sq(w, Q.apply(w), "Q") / y_sq))
 
 
 def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
@@ -249,7 +254,7 @@ def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float, reorth: bool):
     """
     R, U = fact.R, fact._U[:, :fact._nu if reorth else 0]
     u, Rinv_u, u_sq, passes = _cgs2(U, u, Rinv_u, lambda x, Mx, c: R.solve(x))
-    norm = np.sqrt(_clamped_norm_sq(u_sq, tol))
+    norm = np.sqrt(_clamped_norm_sq(u_sq, "R", tol))
     if norm <= tol:
         return 0.0, Rinv_u, passes
     np.divide(u, norm, out=fact._U[:, fact._nu])
@@ -263,7 +268,7 @@ def _append_v(fact: GenGKFactorization, v, Qv, tol: float, reorth: bool):
     n = fact._nv if reorth else 0
     V, QV = fact._V[:, :n], fact._QV[:, :n]
     v, Qv, v_sq, passes = _cgs2(V, v, Qv, lambda x, Mx, c: Mx - QV @ c)
-    norm = np.sqrt(_clamped_norm_sq(v_sq, tol))
+    norm = np.sqrt(_clamped_norm_sq(v_sq, "Q", tol))
     if norm <= tol:
         return 0.0, passes
     np.divide(v, norm, out=fact._V[:, fact._nv])
@@ -329,7 +334,7 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
     if fact._nv == len(fact.alphas):
         u = A.apply(rng.standard_normal(A.cols))
         Rinv_u = fact.R.solve(u)
-        tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u))
+        tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u, "R"))
         norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol, True)
         if norm:
             if not fact._short_u:
@@ -338,7 +343,7 @@ def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
         return bool(norm)
     v = A.apply_adjoint(rng.standard_normal(A.rows))
     Qv = fact.Q.apply(v)
-    tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv))
+    tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv, "Q"))
     if not _append_v(fact, v, Qv, tol, True)[0]:
         return False
     if fact._short_u:

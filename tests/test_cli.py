@@ -76,6 +76,17 @@ def test_solve_writes_artifacts(tmp_path, deblur_config):
         "max-iter", "gcv-flat", "breakdown")
 
 
+def test_singular_prior_exits_3(tmp_path, capsys):
+    # a nonseparable prior with no decay and no nugget is singular
+    cfg = write_config(tmp_path / "c.ini", {
+        "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "3"},
+        "prior": {"structure": "nonseparable", "c1": "0", "c2": "0", "nugget": "0"},
+        "output": {"dir": str(tmp_path / "o")},
+    })
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_solve_identity_toy(tmp_path):
     # identity forward model: reconstruction with lam=1 equals d/2
     cfg = write_config(tmp_path / "c.ini", {

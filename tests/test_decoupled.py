@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -122,6 +124,48 @@ def test_threads_match_serial(rng):
     parallel = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d,
                                          hybrid.Fixed(1.0), opts, threads=4)
     npt.assert_array_equal(serial.s, parallel.s)
+
+
+def test_subproblems_run_on_the_calling_thread(rng, monkeypatch):
+    # threads is accepted and ignored: every subproblem runs in turn here
+    solve = decoupled.solve_subproblem
+    callers = []
+
+    def recording(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(decoupled, "solve_subproblem", recording)
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=6, n_t=4)
+    decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.Fixed(1.0),
+                              hybrid.SolverOptions(max_iter=30), threads=4)
+    assert callers == [threading.get_ident()] * 4
+
+
+def test_zero_temporal_singular_value_end_to_end():
+    # a zero row of A_t gives one sigma_i = 0: its subproblem is skipped, and
+    # the reconstruction and the variance still match the dense oracles
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(np.random.default_rng(5), n_s=8, n_t=4)
+    At[2] = 0.0
+    lam = 0.8
+    res = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d, hybrid.Fixed(lam),
+                                    hybrid.SolverOptions(max_iter=8,
+                                                         reorthogonalize=True))
+    plan = decoupled.build_plan(At, As, Rt, Rs, Qt, Qs, d)
+    zero = [i for i in range(plan.n_t) if plan.sigma_zero(i)]
+    assert len(zero) == 1
+    assert [i for i, r in enumerate(res.sub_results) if r is None] == zero
+
+    p = oracle.DenseProblem(np.kron(At, As), np.kron(Rt, Rs), np.kron(Qt, Qs), d,
+                            lam=lam)
+    expected = oracle.map_normal_equations(p)
+    assert np.linalg.norm(res.s - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    facts = {i: None if r is None else r.factorization
+             for i, r in enumerate(res.sub_results)}
+    var = uq.decoupled_variance_diag(plan, facts, lam).reshape(-1, order="F")
+    exact = np.diag(oracle.dense_posterior(p))
+    assert np.max(np.abs(var - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
 def test_variance_reuses_every_subproblems_projected_problem(rng, projected_svds,

@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dyninv.errors import ParameterError
+from dyninv.errors import ConditioningError, ParameterError
 from dyninv import gengk, hybrid, oracle, problems
 from dyninv import priorcov as pc
-from dyninv.linop import DenseOperator, KroneckerOperator, identity
+from dyninv.linop import DenseOperator, DiagonalOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
 
-from conftest import random_problem, run_gengk, tikhonov
+from conftest import random_orthogonal, random_problem, run_gengk, tikhonov
 
 
 def wrap(A, R, Q):
@@ -476,6 +476,27 @@ def test_genhybr_matches_dense_oracle(rng):
     expected = oracle.map_normal_equations(
         oracle.DenseProblem(A, R, Q, d, mu, lam))
     assert np.linalg.norm(res.s - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("weight", ["Q", "R"])
+def test_non_spd_weight_raises(weight):
+    # a weighted squared norm well below zero is no rounding at breakdown:
+    # the solve must refuse, not stop with a finite s
+    rng = np.random.default_rng(0)
+    n = 12
+    A = DenseOperator(rng.standard_normal((n, n)))
+    d = rng.standard_normal(n)
+    # a dense Q with one negative eigenvalue, or a diagonal R with one entry -1
+    q, r = np.logspace(0, -2, n), np.ones(n)
+    if weight == "Q":
+        q[-1] = -q[-1]
+    else:
+        r[3] = -1.0
+    U = random_orthogonal(rng, n)
+    Q, R = DenseOperator((U * q) @ U.T), DiagonalOperator(r)
+    with pytest.raises(ConditioningError, match=f"^{weight} is not positive definite"):
+        hybrid.genhybr_solve(A, R, PriorModel.zero_mean(Q), d, hybrid.WGCV(),
+                             hybrid.SolverOptions(max_iter=10, reorthogonalize=True))
 
 
 def test_shift_invariance(rng):
