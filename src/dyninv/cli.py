@@ -83,8 +83,8 @@ SECTIONS = {
         "nu": Key(float, default=1.0),                # MaternKernel
         "gamma": Key(float, default=1.0),             # GammaExpKernel
         "ell": Key(float, default=0.1),               # either kernel
-        "nugget": Key(float),           # build_kernel_matrix, build_nonseparable_Q
-        "c1": Key(float), "c2": Key(float),           # NonseparableKernel
+        "nugget": Key(float),                         # build_kernel_matrix
+        "c1": Key(float), "c2": Key(float),           # PointSet.space_time
         "mean": Key(float, default=0.0),              # each entry of PriorModel.mean
         "temporal": Key(str, default="identity"),     # or minij, fd, kernel
         "temporal_nu": Key(float, "nu", 1.5),         # MaternKernel of Q_t
@@ -208,10 +208,10 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
     if structure == "nonseparable":
         if kern is None:
             raise ParameterError("nonseparable prior requires a spatial kernel")
-        nk = priorcov.NonseparableKernel(kern, **cfg.kwargs("prior", "c1", "c2"))
-        Q = priorcov.build_nonseparable_Q(
-            nk, grid, priorcov.PointSet.from_coords(times), **nugget)
-        return priorcov.PriorModel(mean, Q)
+        points = priorcov.PointSet.space_time(grid, times,
+                                              **cfg.kwargs("prior", "c1", "c2"))
+        return priorcov.PriorModel(
+            mean, priorcov.build_kernel_matrix(kern, points, **nugget))
     if structure != "kron":
         raise ParameterError(f"unknown prior structure {structure!r}")
 
@@ -225,7 +225,7 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
     elif variant == "minij":
         Qt, _ = priorcov.build_minij_prior(n_t)
     elif variant == "fd":
-        _, Qt = priorcov.build_fd_temporal(times, **cfg.kwargs("prior", "fd_gamma"))
+        Qt = priorcov.build_fd_temporal(times, **cfg.kwargs("prior", "fd_gamma"))
     elif variant == "kernel":
         tkern = priorcov.MaternKernel(
             **cfg.kwargs("prior", "temporal_nu", "temporal_ell"))
@@ -272,7 +272,7 @@ def cmd_generate(cfg: RunConfig, outdir: str) -> None:
 
 def _write_summary(outdir, values):
     out = configparser.ConfigParser()
-    out["summary"] = {k: str(v) for k, v in values.items()}
+    out["summary"] = {k: str(v) for k, v in values.items() if v is not None}
     with open(os.path.join(outdir, "summary.ini"), "w") as fh:
         out.write(fh)
 
@@ -299,7 +299,9 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
             *decoupled.kronecker_factors(inst, prior), inst.d, strategy, options,
             mu=prior.mean, **cfg.kwargs("solver", "per_time_lambda"))
         s = dres.s
-        lam = max(dres.per_time_lambda)
+        # one lambda only where the subproblems shared it: a per-time solve
+        # has none that a simultaneous posterior could use
+        lam = None if cfg.get("solver", "per_time_lambda") else strategy.lam
         iters = sum(dres.per_time_iters)
         stop = "decoupled"
         _write_decoupled_logs(outdir, dres)
@@ -314,7 +316,8 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
         summary["rel_error"] = hybrid.relative_error(s, inst.s_true,
                                                      options.error_mask)
     _write_summary(outdir, summary)
-    print(f"solve done: lambda={lam:.6g} iters={iters} stop={stop} "
+    print(f"solve done: lambda={'per-time' if lam is None else f'{lam:.6g}'} "
+          f"iters={iters} stop={stop} "
           f"wall={wall:.2f}s" + (f" rel_error={summary['rel_error']:.4g}"
                                  if "rel_error" in summary else ""))
 

@@ -150,19 +150,18 @@ def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
 
 def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
                      options: hybrid.SolverOptions | None = None):
-    """Solve the i-th (0-based) spatial subproblem; returns (Q_s z_i, result-or-None).
+    """Solve the i-th (0-based) spatial subproblem.
 
-    Zero singular values yield z_i = 0 exactly without running the solver.
+    With a zero prior mean the result's ``s`` is Q_s z_i.  A zero singular
+    value gives z_i = 0 exactly, and ``None`` without running the solver.
     """
     if not (0 <= i < plan.n_t):
         raise ParameterError(f"subproblem index {i} out of range [0, {plan.n_t})")
     if plan.sigma_zero(i):
-        return np.zeros(plan.n_s), None
+        return None
     op = ScaledOperator(plan.sigmas[i], plan.A_s)
     prior = PriorModel.zero_mean(plan.Q_s)
-    res = hybrid.genhybr_solve(op, plan.R_s, prior, plan.rhs(i), strategy, options)
-    # with a zero prior mean the subproblem's s is Q_s z_i
-    return res.s, res
+    return hybrid.genhybr_solve(op, plan.R_s, prior, plan.rhs(i), strategy, options)
 
 
 def recombine(plan: DecoupledPlan, QZ) -> np.ndarray:
@@ -209,5 +208,5 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
 
     results = [solve_subproblem(plan, i, strategy, options) for i in range(plan.n_t)]
 
-    S = recombine(plan, np.column_stack([s for s, _ in results]))
-    return DecoupledResult(S=S, sub_results=[r for _, r in results])
+    QZ = np.column_stack([np.zeros(plan.n_s) if r is None else r.s for r in results])
+    return DecoupledResult(S=recombine(plan, QZ), sub_results=results)

@@ -1,14 +1,18 @@
 """Prior covariance construction.
 
-Builds spatial/temporal/space-time covariance operators from stationary
-kernels evaluated on point sets, plus the structured temporal models
-(random-walk "minij" covariance and finite-difference smoothness prior).
+Every dense kernel covariance comes from ``build_kernel_matrix``: a
+stationary kernel, called on distances, evaluated between the points of a
+``PointSet``.  Spatial and temporal covariances use spatial or time points;
+the nonseparable space-time covariance uses ``PointSet.space_time``, whose
+weighted coordinates make the Euclidean distance the combined one.  The
+structured temporal models (random-walk "minij" covariance and
+finite-difference smoothness prior) are built directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,7 +43,35 @@ class MaternKernel:
             raise ParameterError("Matern kernel requires nu > 0 and ell > 0")
 
     def __call__(self, r):
-        return matern_eval(self, r)
+        """Evaluate the Matern correlation at distance(s) ``r >= 0``.
+
+        Half-integer smoothness uses the exact exponential-times-polynomial
+        closed form; other values use modified-Bessel evaluation in log space;
+        very large ``nu`` uses the Gaussian limit exp(-r^2 / (2 ell^2)).
+        """
+        r = _distances(r)
+        nu, ell = self.nu, self.ell
+        scalar = r.ndim == 0
+        r = np.atleast_1d(r)
+
+        if nu >= GAUSSIAN_LIMIT_NU:
+            out = np.exp(-(r ** 2) / (2.0 * ell ** 2))
+        else:
+            z = np.sqrt(2.0 * nu) * r / ell
+            two_nu = 2.0 * nu
+            if abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 == 1:
+                p = int(round(nu - 0.5))
+                out = _matern_half_integer(p, z)
+            else:
+                out = np.ones_like(z)
+                pos = z > 0
+                zp = z[pos]
+                # log-space product avoids overflow of K_nu for small z / large nu
+                log_c = ((1.0 - nu) * np.log(2.0) - special.gammaln(nu)
+                         + nu * np.log(zp) + np.log(special.kve(nu, zp)) - zp)
+                out[pos] = np.exp(log_c)
+        out = np.clip(out, 0.0, 1.0)
+        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -56,7 +88,16 @@ class GammaExpKernel:
             raise ParameterError("gamma-exponential kernel requires ell > 0")
 
     def __call__(self, r):
-        return gamma_exp_eval(self, r)
+        """Evaluate exp(-(r/ell)^gamma) at distance(s) ``r >= 0``."""
+        out = np.exp(-((_distances(r) / self.ell) ** self.gamma))
+        return float(out) if out.ndim == 0 else out
+
+
+def _distances(r):
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ParameterError("distances must be nonnegative")
+    return r
 
 
 def _matern_half_integer(p: int, z):
@@ -66,49 +107,6 @@ def _matern_half_integer(p: int, z):
         coeff = math.factorial(p + i) / (math.factorial(i) * math.factorial(p - i))
         acc += coeff * (2.0 * z) ** (p - i)
     return np.exp(-z) * (math.factorial(p) / math.factorial(2 * p)) * acc
-
-
-def matern_eval(kernel: MaternKernel, r):
-    """Evaluate the Matern correlation at distance(s) ``r >= 0``.
-
-    Half-integer smoothness uses the exact exponential-times-polynomial
-    closed form; other values use modified-Bessel evaluation in log space;
-    very large ``nu`` uses the Gaussian limit exp(-r^2 / (2 ell^2)).
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ParameterError("distances must be nonnegative")
-    nu, ell = kernel.nu, kernel.ell
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-
-    if nu >= GAUSSIAN_LIMIT_NU:
-        out = np.exp(-(r ** 2) / (2.0 * ell ** 2))
-    else:
-        z = np.sqrt(2.0 * nu) * r / ell
-        two_nu = 2.0 * nu
-        if abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 == 1:
-            p = int(round(nu - 0.5))
-            out = _matern_half_integer(p, z)
-        else:
-            out = np.ones_like(z)
-            pos = z > 0
-            zp = z[pos]
-            # log-space product avoids overflow of K_nu for small z / large nu
-            log_c = ((1.0 - nu) * np.log(2.0) - special.gammaln(nu)
-                     + nu * np.log(zp) + np.log(special.kve(nu, zp)) - zp)
-            out[pos] = np.exp(log_c)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-def gamma_exp_eval(kernel: GammaExpKernel, r):
-    """Evaluate exp(-(r/ell)^gamma) at distance(s) ``r >= 0``."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ParameterError("distances must be nonnegative")
-    out = np.exp(-((r / kernel.ell) ** kernel.gamma))
-    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +137,24 @@ class PointSet:
         # column j of the image varies fastest in y: index = ix*ny + iy
         coords = np.column_stack([X.T.ravel(), Y.T.ravel()])
         return PointSet(coords)
+
+    @staticmethod
+    def space_time(space: "PointSet", times, c1: float = 1.0,
+                   c2: float = 0.0) -> "PointSet":
+        """Space-time points [sqrt(c1) p, sqrt(c2) t], spatial index fastest.
+
+        The Euclidean distance between two of them is
+        sqrt(c1 ||dp||^2 + c2 |dt|^2), so ``build_kernel_matrix`` over this
+        set is the nonseparable space-time covariance.  Desk-scale only: it
+        cannot be represented as a Kronecker product.
+        """
+        if c1 < 0 or c2 < 0:
+            raise ParameterError("space-time weights c1, c2 must be nonnegative")
+        T = np.asarray(times, dtype=float).ravel()
+        P = space.coordinates
+        return PointSet(np.column_stack([
+            np.tile(math.sqrt(c1) * P, (T.size, 1)),
+            np.repeat(math.sqrt(c2) * T, len(space))]))
 
     def __len__(self):
         return self.coordinates.shape[0]
@@ -180,8 +196,8 @@ def build_minij_prior(n_t: int):
 def build_fd_temporal(t, gamma: float):
     """Finite-difference temporal smoothness prior.
 
-    Returns ``L_t`` (forward differences scaled by 1/dt) and the dense SPD
-    covariance ``Q_t = (L_t.T L_t + gamma I)^{-1}``.
+    Returns the dense SPD covariance ``Q_t = (L_t.T L_t + gamma I)^{-1}``,
+    with ``L_t`` the forward differences scaled by 1/dt.
     """
     t = np.asarray(t, dtype=float).ravel()
     if t.size < 2:
@@ -198,45 +214,7 @@ def build_fd_temporal(t, gamma: float):
     L[np.arange(n_t - 1), np.arange(1, n_t)] = -inv_dt
     Q = sla.inv(L.T @ L + gamma * np.eye(n_t))
     Q = 0.5 * (Q + Q.T)
-    return DenseOperator(L), DenseOperator(Q)
-
-
-@dataclass(frozen=True)
-class NonseparableKernel:
-    """Space-time kernel base(sqrt(c1 ||dp||^2 + c2 |dt|^2))."""
-
-    base: object
-    c1: float = 1.0
-    c2: float = 0.0
-
-    def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ParameterError("nonseparable weights must be nonnegative")
-
-
-def build_nonseparable_Q(kernel: NonseparableKernel, space_points: PointSet,
-                         time_points: PointSet, nugget: float = DEFAULT_NUGGET) -> DenseOperator:
-    """Dense SPD space-time covariance on the combined weighted distance.
-
-    Row/column ordering is column-stacked: spatial index varies fastest.
-    Desk-scale only; cannot be represented as a Kronecker product.
-    """
-    P = space_points.coordinates
-    T = time_points.coordinates.ravel()
-    n_s, n_t = len(space_points), T.size
-    Ds2 = cdist(P, P) ** 2
-    Dt2 = np.subtract.outer(T, T) ** 2
-    # combined distance on the (n_s*n_t) x (n_s*n_t) grid, spatial fastest
-    D = np.sqrt(
-        kernel.c1 * np.tile(Ds2, (n_t, n_t))
-        + kernel.c2 * np.repeat(np.repeat(Dt2, n_s, axis=0), n_s, axis=1)
-    )
-    M = kernel.base(D.ravel()).reshape(D.shape)
-    M = 0.5 * (M + M.T)
-    M[np.diag_indices_from(M)] += nugget
-    op = DenseOperator(M)
-    op._factor()
-    return op
+    return DenseOperator(Q)
 
 
 # ----------------------------------------------------------------------

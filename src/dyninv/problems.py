@@ -43,10 +43,22 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-def _noise_sigma_from_level(noise_level: float, clean: np.ndarray) -> float:
-    # target ||eps|| = noise_level * ||A s_true||, i.i.d. Gaussian entries
-    m = clean.size
-    return noise_level * np.linalg.norm(clean) / np.sqrt(m)
+def _noisy_data(clean: np.ndarray, noise_level: float, seed: int):
+    """Data ``d``, noise covariance ``R`` and noise sigma for relative noise.
+
+    The i.i.d. Gaussian noise is scaled so that ||eps|| = noise_level *
+    ||clean|| in expectation.  Noiseless data keeps a unit noise covariance
+    as a placeholder weight.
+    """
+    rng = np.random.default_rng(seed)
+    if noise_level > 0:
+        sigma = noise_level * np.linalg.norm(clean) / np.sqrt(clean.size)
+        d = clean + sigma * rng.standard_normal(clean.size)
+    else:
+        sigma = 0.0
+        d = clean.copy()
+    R = ScaledIdentityOperator(sigma ** 2 if sigma > 0 else 1.0, clean.size)
+    return d, R, sigma
 
 
 # ----------------------------------------------------------------------
@@ -110,17 +122,7 @@ def gen_dynamic_deblur(nx: int, ny: int, n_t: int, spatial_sigma: float = 0.07,
     A = KroneckerOperator(DenseOperator(At), A_s)
 
     s_true = _moving_feature_truth(nx, ny, n_t)
-    clean = A.apply(s_true)
-    rng = np.random.default_rng(seed)
-    if noise_level > 0:
-        sigma_noise = _noise_sigma_from_level(noise_level, clean)
-        d = clean + sigma_noise * rng.standard_normal(clean.size)
-    else:
-        sigma_noise = 0.0
-        d = clean.copy()
-    # noiseless data keeps a unit noise covariance as a placeholder weight
-    R = ScaledIdentityOperator(sigma_noise ** 2 if sigma_noise > 0 else 1.0,
-                               clean.size)
+    d, R, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
     return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
                            grid=(nx, ny), seed=seed, kind="deblur",
                            noise_sigma=sigma_noise,
@@ -319,16 +321,7 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
     s_true = rotating_gaussians_truth(nx, ny, n_t, width=width,
                                       orbit_radius=orbit_radius,
                                       revolutions=revolutions)
-    clean = A.apply(s_true)
-    rng = np.random.default_rng(seed)
-    if noise_level > 0:
-        sigma_noise = _noise_sigma_from_level(noise_level, clean)
-        d = clean + sigma_noise * rng.standard_normal(clean.size)
-    else:
-        sigma_noise = 0.0
-        d = clean.copy()
-    R = ScaledIdentityOperator(sigma_noise ** 2 if sigma_noise > 0 else 1.0,
-                               clean.size)
+    d, R, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
     return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
                            grid=(nx, ny), seed=seed, kind="rotating",
                            noise_sigma=sigma_noise,

@@ -214,19 +214,19 @@ def test_acceptance_kernels():
 
     # nu = 1/2 is the exponential kernel
     for ell in (0.5, 1.0, 2.0):
-        dev = np.max(np.abs(pc.matern_eval(pc.MaternKernel(0.5, ell), r)
+        dev = np.max(np.abs(pc.MaternKernel(0.5, ell)(r)
                             - np.exp(-r / ell)))
         _check(failures, dev <= 1e-12, f"nu=1/2 ell={ell} deviates {dev:.3e}")
 
     # nu = 3/2 closed form (1 + sqrt(3) r/ell) exp(-sqrt(3) r/ell)
     for ell in (0.5, 1.0, 2.0):
         z = np.sqrt(3.0) * r / ell
-        dev = np.max(np.abs(pc.matern_eval(pc.MaternKernel(1.5, ell), r)
+        dev = np.max(np.abs(pc.MaternKernel(1.5, ell)(r)
                             - (1.0 + z) * np.exp(-z)))
         _check(failures, dev <= 1e-12, f"nu=3/2 ell={ell} deviates {dev:.3e}")
 
     # large nu approaches the squared-exponential limit
-    dev = np.max(np.abs(pc.matern_eval(pc.MaternKernel(100.0, 1.0), r)
+    dev = np.max(np.abs(pc.MaternKernel(100.0, 1.0)(r)
                         - np.exp(-r ** 2 / 2.0)))
     _check(failures, dev <= 1e-2, f"nu=100 Gaussian-limit deviation {dev:.3e}")
 

@@ -222,6 +222,35 @@ def test_decoupled_optimal_strategy_is_a_validation_error(tmp_path, deblur_confi
     assert "optimal strategy" in err and "no truth" in err
 
 
+def test_per_time_solve_leaves_variance_no_lambda(tmp_path, deblur_config, capsys):
+    # each subproblem chose its own lambda: no one value is the solve's
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled", "--solver.strategy=wgcv",
+                     "--solver.per_time_lambda=true"]) == 0
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "out" / "summary.ini")
+    assert not summary.has_option("summary", "lambda")
+    assert cli.main(["variance", "--config", deblur_config]) == 2
+    assert "requires a positive lambda" in capsys.readouterr().err
+
+
+def test_shared_lambda_decoupled_solve_writes_its_lambda(tmp_path, deblur_config):
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--solver.method=decoupled", "--solver.lambda=2.5"]) == 0
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "out" / "summary.ini")
+    assert summary.getfloat("summary", "lambda") == 2.5
+    assert cli.main(["variance", "--config", deblur_config]) == 0
+    summary.read(tmp_path / "out" / "summary.ini")
+    assert summary.getfloat("summary", "lambda") == 2.5
+
+
+def test_negative_space_time_weight_exits_2(tmp_path, deblur_config, capsys):
+    assert cli.main(["solve", "--config", deblur_config,
+                     "--prior.structure=nonseparable", "--prior.c2=-0.5"]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_variance_identity_field(tmp_path):
     cfg = write_config(tmp_path / "c.ini", {
         "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "2",

@@ -55,9 +55,11 @@ def test_subproblem_zero_sigma_skipped():
     plan = decoupled.build_plan(np.diag([2.0, 0.0]), identity(2), np.eye(2),
                                 identity(2), np.eye(2), identity(2),
                                 np.ones(4))
-    z, res = decoupled.solve_subproblem(plan, 1, hybrid.Fixed(1.0))
-    npt.assert_array_equal(z, np.zeros(2))
-    assert res is None
+    assert decoupled.solve_subproblem(plan, 1, hybrid.Fixed(1.0)) is None
+    res = decoupled.decoupled_solve(np.diag([2.0, 0.0]), identity(2), np.eye(2),
+                                    identity(2), np.eye(2), identity(2),
+                                    np.ones(4), hybrid.Fixed(1.0))
+    npt.assert_array_equal(res.S[:, 1], np.zeros(2))
 
 
 def test_single_time_identity_tikhonov():
