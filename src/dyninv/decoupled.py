@@ -2,10 +2,11 @@
 
 When A = A_t (x) A_s, R = R_t (x) R_s, and Q = Q_t (x) Q_s, a sequence of
 variable changes turns the normal equations into n_t independent spatial
-problems, one per singular value of the transformed temporal operator
-R_t^{-1/2} A_t L_t^T (with Q_t = L_t^T L_t).  Each subproblem is solved with
-the simultaneous hybrid solver, whose zero-mean solutions Q_s z_i are
-recombined via S = (Q_s Z) V_t^T L_t^{-T} Q_t^T.
+problems, one per singular value of the whitened temporal operator
+L_R^{-T} A_t L_Q' = U_t Sigma V_t' (with R_t = L_R' L_R and Q_t = L_Q' L_Q).
+Each subproblem is solved with the simultaneous hybrid solver, whose
+zero-mean solutions Q_s z_i are recombined via S = mu + (Q_s Z) T, with the
+temporal map T = V_t' L_Q.
 
 The subproblems are independent, and they run in turn in the calling thread:
 at desk scale they are interpreter-bound, so a thread pool made them slower
@@ -29,17 +30,15 @@ from .priorcov import PriorModel
 SIGMA_RTOL = 1e-14
 
 
-def _dense(x):
-    return x.to_dense() if isinstance(x, LinearOperator) else np.asarray(x, dtype=float)
-
-
-def _inv_sqrt_spd(M, name):
+def _cholesky(M, name):
+    """Upper Cholesky factor L of the symmetric part of M, M = L' L."""
     M = 0.5 * (M + M.T)
-    w, W = sla.eigh(M)
-    if w[0] <= 0:
+    try:
+        return sla.cholesky(M, lower=False)
+    except sla.LinAlgError as exc:
+        w = sla.eigvalsh(M)
         raise ConditioningError(f"{name} is not positive definite "
-                                f"(min eigenvalue {w[0]:.3e})", min_eig=w[0])
-    return (W / np.sqrt(w)) @ W.T
+                                f"(min eigenvalue {w[0]:.3e})", min_eig=w[0]) from exc
 
 
 @dataclass
@@ -49,17 +48,15 @@ class DecoupledPlan:
     A_s: LinearOperator
     Q_s: LinearOperator
     R_s: LinearOperator
-    Qt: np.ndarray
-    Lt: np.ndarray              # upper-triangular, Q_t = Lt.T @ Lt
+    T: np.ndarray               # temporal map V_t' L_Q, so T' T = Q_t
     Ut: np.ndarray
-    sigmas: np.ndarray
-    Vt: np.ndarray
-    D: np.ndarray               # mat(b) @ Rt^{-1/2}; column i gives the rhs seed
+    sigmas: np.ndarray          # n_t entries, zero-padded when A_t has fewer rows
+    D: np.ndarray               # mat(b) @ L_R^{-1}; column i gives the rhs seed
     mu: np.ndarray
 
     @property
     def n_t(self) -> int:
-        return self.Qt.shape[0]
+        return self.T.shape[0]
 
     @property
     def n_s(self) -> int:
@@ -111,41 +108,35 @@ def kronecker_factors(inst, prior: PriorModel):
 
 
 def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
-    """Assemble the SVD of R_t^{-1/2} A_t L_t^T and the right-hand-side machinery."""
+    """Assemble the SVD of L_R^{-T} A_t L_Q' and the right-hand-side machinery."""
     A_s, Q_s, R_s = aslinearoperator(A_s), aslinearoperator(Q_s), aslinearoperator(R_s)
-    At = _dense(A_t)
-    Rt = _dense(R_t)
-    Qt = _dense(Q_t)
-    n_t = Qt.shape[0]
-    if At.shape[1] != n_t or Rt.shape[0] != At.shape[0]:
+    At = aslinearoperator(A_t).to_dense()
+    Rt = aslinearoperator(R_t).to_dense()
+    Qt = aslinearoperator(Q_t).to_dense()
+    m_t, n_t = At.shape[0], Qt.shape[0]
+    if At.shape[1] != n_t or Rt.shape[0] != m_t:
         raise ShapeError("inconsistent temporal factor shapes")
 
-    try:
-        Lt = sla.cholesky(0.5 * (Qt + Qt.T), lower=False)
-    except sla.LinAlgError as exc:
-        w = sla.eigvalsh(0.5 * (Qt + Qt.T))
-        raise ConditioningError(f"Q_t factorization failed (min eigenvalue {w[0]:.3e})",
-                                min_eig=w[0]) from exc
-    Rt_inv_sqrt = _inv_sqrt_spd(Rt, "R_t")
-    Ahat = Rt_inv_sqrt @ At @ Lt.T
-    Ut, sig, Vth = sla.svd(Ahat)
-    Vt = Vth.T
+    LQ = _cholesky(Qt, "Q_t")
+    LR = _cholesky(Rt, "R_t")
+    Ut, sig, Vth = sla.svd(sla.solve_triangular(LR, At, trans="T") @ LQ.T)
+    sig = np.pad(sig, (0, n_t - sig.size))
 
     d = np.asarray(d, dtype=float).ravel()
     m_bar = A_s.rows
-    if d.size != m_bar * At.shape[0]:
-        raise ShapeError(f"data length {d.size} does not match {m_bar}x{At.shape[0]}")
+    if d.size != m_bar * m_t:
+        raise ShapeError(f"data length {d.size} does not match {m_bar}x{m_t}")
     n = A_s.cols * n_t
     if mu is None:
         mu = np.zeros(n)
     mu = np.asarray(mu, dtype=float).ravel()
     A_full = KroneckerOperator(DenseOperator(At), A_s)
     b = d - A_full.apply(mu)
-    Bmat = b.reshape(m_bar, At.shape[0], order="F")
-    D = Bmat @ Rt_inv_sqrt
+    Bmat = b.reshape(m_bar, m_t, order="F")
+    D = sla.solve_triangular(LR, Bmat.T, trans="T").T
 
-    return DecoupledPlan(A_s=A_s, Q_s=Q_s, R_s=R_s, Qt=Qt, Lt=Lt, Ut=Ut,
-                         sigmas=sig, Vt=Vt, D=D, mu=mu)
+    return DecoupledPlan(A_s=A_s, Q_s=Q_s, R_s=R_s, T=Vth @ LQ, Ut=Ut,
+                         sigmas=sig, D=D, mu=mu)
 
 
 def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
@@ -165,12 +156,11 @@ def solve_subproblem(plan: DecoupledPlan, i: int, strategy,
 
 
 def recombine(plan: DecoupledPlan, QZ) -> np.ndarray:
-    """Undo the changes of variables on QZ = Q_s Z: S = mu + QZ V_t' L_t^{-T} Q_t'."""
+    """Undo the changes of variables on QZ = Q_s Z: S = mu + QZ T."""
     QZ = np.asarray(QZ, dtype=float)
     if QZ.shape != (plan.n_s, plan.n_t):
         raise ShapeError(f"QZ has shape {QZ.shape}, expected {(plan.n_s, plan.n_t)}")
-    QX = sla.solve_triangular(plan.Lt, (QZ @ plan.Vt.T).T, lower=False).T
-    return plan.mu.reshape(plan.n_s, plan.n_t, order="F") + QX @ plan.Qt.T
+    return plan.mu.reshape(plan.n_s, plan.n_t, order="F") + QZ @ plan.T
 
 
 def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,

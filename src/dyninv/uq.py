@@ -13,7 +13,7 @@ row blocks of Q V_k of ``BLOCK_BYTES``, so besides the factorization the
 variance needs O(block + n) memory, not the n x k' of Z_k.
 
 A decoupled variant combines per-time low-rank blocks through the temporal
-factors of the decoupled plan.
+map T of the decoupled plan.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ def decoupled_variance_diag(plan, factorizations: dict, lam: float) -> np.ndarra
             continue
         d_blocks[:, j] = _downdate_diag(build_posterior_approx(fact, plan.Q_s, lam))
 
-    # weights (e_j' V_t' L_t e_i)^2
-    Wt = (plan.Vt.T @ plan.Lt) ** 2  # (j, i) entry
-    return (np.outer(plan.Q_s.diagonal(), np.diag(plan.Qt)) / lam ** 2
-            - d_blocks @ Wt)
+    # weights W[j, i] = T[j, i]^2; T' T = Q_t, so W's column sums are diag(Q_t)
+    W = plan.T ** 2
+    return np.outer(plan.Q_s.diagonal(), W.sum(axis=0)) / lam ** 2 - d_blocks @ W

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dyninv.errors import ParameterError, ShapeError
+from dyninv.errors import ConditioningError, ParameterError, ShapeError
 from dyninv import decoupled, hybrid, oracle, problems, uq
 from dyninv.linop import DenseOperator, KroneckerOperator, identity
 from dyninv.priorcov import PriorModel
@@ -12,15 +12,16 @@ from dyninv.priorcov import PriorModel
 from conftest import fresh_projections, random_spd
 
 
-def kron_instance(rng, n_s=9, n_t=3, m_bar=None):
+def kron_instance(rng, n_s=9, n_t=3, m_bar=None, m_t=None):
     m_bar = n_s if m_bar is None else m_bar
-    At = rng.standard_normal((n_t, n_t))
+    m_t = n_t if m_t is None else m_t
+    At = rng.standard_normal((m_t, n_t))
     As = rng.standard_normal((m_bar, n_s))
-    Rt = random_spd(rng, n_t, cond=10)
+    Rt = random_spd(rng, m_t, cond=10)
     Rs = random_spd(rng, m_bar, cond=10)
     Qt = random_spd(rng, n_t, cond=10)
     Qs = random_spd(rng, n_s, cond=10)
-    d = rng.standard_normal(m_bar * n_t)
+    d = rng.standard_normal(m_bar * m_t)
     return At, As, Rt, Rs, Qt, Qs, d
 
 
@@ -35,12 +36,25 @@ def test_kronecker_factors_rebuild_the_operators(rng):
     npt.assert_array_equal(np.kron(Qt.to_dense(), Qs.to_dense()), Q.to_dense())
 
 
-def test_plan_identity_factors():
+def test_plan_identity_factors(rng):
     plan = decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
                                 np.eye(2), identity(3), np.zeros(6))
     npt.assert_allclose(plan.sigmas, [1.0, 1.0])
     npt.assert_allclose(np.abs(plan.Ut), np.eye(2), atol=1e-14)
-    npt.assert_allclose(np.abs(plan.Vt), np.eye(2), atol=1e-14)
+    npt.assert_allclose(np.abs(plan.T), np.eye(2), atol=1e-14)
+    # the temporal map factors the temporal prior: T' T = Q_t
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=3, n_t=4)
+    T = decoupled.build_plan(At, As, Rt, Rs, Qt, Qs, d).T
+    npt.assert_allclose(T.T @ T, Qt, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["Q_t", "R_t"])
+def test_plan_rejects_a_factor_that_is_not_spd(name):
+    spd = {"Q_t": np.eye(2), "R_t": np.eye(2)}
+    spd[name] = np.diag([1.0, -1.0])
+    with pytest.raises(ConditioningError, match=f"^{name} is not positive definite"):
+        decoupled.build_plan(np.eye(2), identity(2), spd["R_t"], identity(2),
+                             spd["Q_t"], identity(2), np.zeros(4))
 
 
 def test_plan_zero_sigma_detection():
@@ -75,12 +89,15 @@ def test_recombine_identities(rng):
                                 np.eye(3), identity(4), np.zeros(12))
     Z = rng.standard_normal((4, 3))
     # recombine undoes the (identity) transforms up to the SVD's sign freedom
-    S = decoupled.recombine(plan, Z @ plan.Vt)
+    S = decoupled.recombine(plan, Z @ plan.T.T)
     npt.assert_allclose(S, Z, atol=1e-12)
 
 
-def test_equivalence_with_oracle_and_simultaneous(rng):
-    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=9, n_t=3, m_bar=7)
+# A_t square, wide (fewer rows than times: the padded sigma_i are zero) and tall
+@pytest.mark.parametrize("m_t", [pytest.param(3, id="square"), pytest.param(2, id="wide"),
+                                 pytest.param(6, id="tall")])
+def test_equivalence_with_oracle_and_simultaneous(rng, m_t):
+    At, As, Rt, Rs, Qt, Qs, d = kron_instance(rng, n_s=9, n_t=3, m_bar=7, m_t=m_t)
     lam = 0.8
     res = decoupled.decoupled_solve(At, As, Rt, Rs, Qt, Qs, d,
                                     hybrid.Fixed(lam),

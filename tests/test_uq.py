@@ -150,15 +150,19 @@ def test_decoupled_variance_zero_rank_prior():
     npt.assert_allclose(var, np.full((3, 2), 0.25), rtol=1e-12)
 
 
-def test_decoupled_variance_matches_dense(rng):
-    n_s, n_t, m_bar = 6, 3, 6
-    At = rng.standard_normal((n_t, n_t))
+# A_t square, wide (fewer rows than times: the padded sigma_i are zero) and tall
+@pytest.mark.parametrize("n_t, m_t", [pytest.param(3, 3, id="square"),
+                                      pytest.param(4, 2, id="wide"),
+                                      pytest.param(4, 6, id="tall")])
+def test_decoupled_variance_matches_dense(rng, n_t, m_t):
+    n_s, m_bar = 6, 6
+    At = rng.standard_normal((m_t, n_t))
     As = rng.standard_normal((m_bar, n_s))
-    Rt = random_spd(rng, n_t, cond=10)
+    Rt = random_spd(rng, m_t, cond=10)
     Rs = random_spd(rng, m_bar, cond=10)
     Qt = random_spd(rng, n_t, cond=10)
     Qs = random_spd(rng, n_s, cond=10)
-    d = rng.standard_normal(m_bar * n_t)
+    d = rng.standard_normal(m_bar * m_t)
     lam = 0.7
     plan = decoupled.build_plan(At, As, Rt, Rs, Qt, Qs, d)
     facts = {}
