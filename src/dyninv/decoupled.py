@@ -114,7 +114,7 @@ def build_plan(A_t, A_s, R_t, R_s, Q_t, Q_s, d, mu=None) -> DecoupledPlan:
     Rt = aslinearoperator(R_t).to_dense()
     Qt = aslinearoperator(Q_t).to_dense()
     m_t, n_t = At.shape[0], Qt.shape[0]
-    if At.shape[1] != n_t or Rt.shape[0] != m_t:
+    if Qt.shape != (n_t, n_t) or Rt.shape != (m_t, m_t) or At.shape[1] != n_t:
         raise ShapeError("inconsistent temporal factor shapes")
 
     LQ = _cholesky(Qt, "Q_t")

@@ -104,8 +104,9 @@ class GenGKFactorization:
         diagonal and beta_2 .. beta_{k+1} below it."""
         k = self.k if k is None else k
         B = np.zeros((k + 1, k))
-        B[np.arange(k), np.arange(k)] = self.alphas[:k]
-        B[np.arange(1, k + 1), np.arange(k)] = self.betas[:k]
+        # row-major: B[i, i] is flat entry i (k + 1), and B[i + 1, i] is k after it
+        B.flat[::k + 1] = self.alphas[:k]
+        B.flat[k::k + 1] = self.betas[:k]
         return B
 
     def QV_matrix(self, k: int | None = None) -> np.ndarray:
@@ -140,15 +141,20 @@ class GenGKFactorization:
         if on_u == self._short_u:
             return True
         norm = np.sqrt(max(float(np.dot(x, Mx)), 0.0))
-        rounding = LONG_SIDE_EPS * max(self.alphas + self.betas)
+        rounding = LONG_SIDE_EPS * self._largest_scalar
         drift = (coupling * self._drift + rounding) / norm if norm else np.inf
         reorth = drift > LONG_SIDE_ORTH_TOL
         self._drift = LONG_SIDE_EPS if reorth else drift
         return reorth
 
     @property
+    def _largest_scalar(self) -> float:
+        """The largest alpha or beta so far (there is no beta before step 1)."""
+        return max(max(self.alphas), max(self.betas, default=0.0))
+
+    @property
     def breakdown_tol(self) -> float:
-        return BREAKDOWN_RTOL * max(self.alphas + self.betas)
+        return BREAKDOWN_RTOL * self._largest_scalar
 
 
 def _weighted_norm_sq(v, Mv, weight: str) -> float:
@@ -230,9 +236,11 @@ def _cgs2(W, x, Mx, next_Mx):
     """
     norm_sq = float(np.dot(x, Mx))
     passes = 0
+    if not W.shape[1]:
+        return x, Mx, norm_sq, passes
     while passes < 2:
         c = W.T @ Mx
-        if not np.any(c):
+        if not c.any():
             break
         # not in place: an operator's solve or apply may hand back its input
         x = x - W @ c

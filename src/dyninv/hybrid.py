@@ -101,6 +101,14 @@ class ProjectedProblem:
     filter evaluation, so lambda = 0 means the same truncated (minimum-norm)
     solution in all three.  The Tikhonov solution of
     min ||B z - beta1 e1||^2 + lam^2 ||z||^2 is z = Vt' f.
+
+    ``fit`` is the only path that returns f, the misfit and the GCV value
+    together.  A lambda search forms only what it minimizes, with fit's
+    arithmetic: the WGCV objective (``_search_gcv``) forms psi, the residual
+    and the GCV value, and the truth-error objective
+    (``_ProjectedError.__call__``) forms f alone (``_search_f``).  The
+    pieces of the lambda = 0 solution are formed only when fit is asked for
+    lambda = 0.
     """
 
     B: np.ndarray
@@ -116,12 +124,6 @@ class ProjectedProblem:
         self._s2 = s ** 2
         self._c2_head = self.c[: s.size] ** 2
         self._c_tail_sq = float(np.sum(self.c[s.size:] ** 2))
-        # singular values kept by the unregularized (lambda = 0) solution
-        cutoff = s[0] * np.finfo(float).eps * max(self.B.shape) if s.size else 0.0
-        self._kept = s > cutoff
-        self._dropped = ~self._kept
-        self._c_over_s = np.divide(self.c[: s.size], s, out=np.zeros_like(s),
-                                   where=s > 0)
         self._sc = s * self.c[: s.size]
 
     @classmethod
@@ -153,25 +155,52 @@ class ProjectedProblem:
         dropped ones.  A lambda search passes positive lambdas only, which
         skip that branch.
         """
-        lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
-        if lam2.all():
-            denom = self._s2 + lam2
+        lam2, denom = self._lam2_denom(lam)
+        if denom is not None:
             psi, f = lam2 / denom, self._sc / denom
         else:
+            s = self.s
+            # singular values kept by the unregularized (lambda = 0) solution
+            cutoff = s[0] * np.finfo(float).eps * max(self.B.shape) if s.size else 0.0
+            kept = s > cutoff
+            c_over_s = np.divide(self.c[: s.size], s, out=np.zeros_like(s),
+                                 where=s > 0)
             zero = lam2 == 0
             denom = self._s2 + np.where(zero, 1.0, lam2)
-            psi = np.where(zero, self._dropped, lam2 / denom)
-            f = np.where(zero, self._kept * self._c_over_s, self._sc / denom)
+            psi = np.where(zero, ~kept, lam2 / denom)
+            f = np.where(zero, kept * c_over_s, self._sc / denom)
         res_sq = self._residual_sq(psi)
         return Fit(f, np.sqrt(res_sq), self._gcv(psi, res_sq, w))
+
+    def _lam2_denom(self, lam):
+        """lam^2, one row per lambda, and the filter denominators s^2 + lam^2,
+        or None in their place when some lam^2 is 0 (lam = 0, or lam^2
+        underflowed): only ``fit`` handles that case."""
+        lam2 = np.square(np.asarray(lam, dtype=float))[..., None]
+        # count_nonzero is the cheap form of lam2.all() on a small array
+        return lam2, self._s2 + lam2 if np.count_nonzero(lam2) == lam2.size else None
+
+    def _search_gcv(self, lam, w: float):
+        """``fit(lam, w).gcv`` from psi alone, without f or the misfit."""
+        lam2, denom = self._lam2_denom(lam)
+        if denom is None:
+            return self.fit(lam, w).gcv
+        psi = lam2 / denom
+        return self._gcv(psi, self._residual_sq(psi), w)
+
+    def _search_f(self, lam):
+        """``fit(lam).f`` alone, without psi, the misfit or the GCV value."""
+        lam2, denom = self._lam2_denom(lam)
+        return self.fit(lam).f if denom is None else self._sc / denom
 
     def _residual_sq(self, psi):
         return psi ** 2 @ self._c2_head + self._c_tail_sq
 
     def _gcv(self, psi, res_sq, w):
         # the trace term sum(phi) is k - sum(psi), at lam = 0 too
-        denom = (self.k + 1) - w * (self.k - psi.sum(axis=-1))
-        return self.k * res_sq / denom ** 2
+        k = self.k
+        denom = (k + 1) - w * (k - psi.sum(axis=-1))
+        return k * res_sq / denom ** 2
 
 
 class TruthError:
@@ -232,7 +261,7 @@ class _ProjectedError:
     h2: np.ndarray
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
-        return self.at(self.proj.fit(lam).f)
+        return self.at(self.proj._search_f(lam))
 
     def at(self, F: np.ndarray):
         """err for coefficients f of z = Vt' f, one row per lambda."""
@@ -282,7 +311,7 @@ def minimize_over_lambda(f, s_max: float) -> float:
         x[-1] = b  # the exact endpoint, as np.linspace sets it
         lam = np.exp(x)
         vals = f(lam)
-        i = int(np.argmin(vals))  # argmin returns the first (smallest-lambda) minimizer
+        i = int(vals.argmin())  # argmin returns the first (smallest-lambda) minimizer
         # <= moves an equal value to the smaller lambda a later round found
         if vals[i] <= best_val:
             best_lam, best_val = float(lam[i]), vals[i]
@@ -328,7 +357,7 @@ def select_lambda(strategy, proj: ProjectedProblem, error=None) -> float:
         return strategy.lam
     s_max = proj.s[0] if proj.s.size else 0.0
     if isinstance(strategy, WGCV):
-        return minimize_over_lambda(lambda l: proj.fit(l, strategy.w).gcv, s_max)
+        return minimize_over_lambda(lambda l: proj._search_gcv(l, strategy.w), s_max)
     if isinstance(strategy, Optimal):
         if error is None:
             raise ParameterError("Optimal strategy requires its error objective")
@@ -415,6 +444,8 @@ def _gcv_flat(history: list, opts: SolverOptions) -> bool:
     flat (relative to the first iteration's) or lambda stagnant."""
     if len(history) <= FLAT_PATIENCE:
         return False
+    if opts.gcv_flat_tol <= 0 and opts.lam_stag_tol <= 0:
+        return False  # the rule is off: no iteration can be quiet
     g_ref = abs(history[0].gcv) if history[0].gcv != 0 else 1.0
 
     def quiet(prev: Iteration, now: Iteration) -> bool:

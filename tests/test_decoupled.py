@@ -228,6 +228,13 @@ def test_shape_validation(rng):
     with pytest.raises(ShapeError):
         decoupled.build_plan(np.eye(3), identity(4), np.eye(2), identity(4),
                              np.eye(3), identity(4), np.zeros(12))
+    # a non-square Q_t or R_t is a shape error, not numpy's broadcast error
+    with pytest.raises(ShapeError):
+        decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
+                             np.ones((2, 3)), identity(3), np.zeros(6))
+    with pytest.raises(ShapeError):
+        decoupled.build_plan(np.eye(2), identity(3), np.ones((2, 3)), identity(3),
+                             np.eye(2), identity(3), np.zeros(6))
     plan = decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
                                 np.eye(2), identity(3), np.zeros(6))
     with pytest.raises(ShapeError):

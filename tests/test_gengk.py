@@ -161,6 +161,17 @@ def test_bidiagonal_dense_structure():
                                     betas=[3.0, 4.0])
     npt.assert_array_equal(fact.bidiagonal(), [[1, 0], [3, 2], [0, 4]])
     npt.assert_array_equal(fact.bidiagonal(1), [[1], [3]])
+    assert fact.bidiagonal(0).shape == (1, 0)
+
+
+def test_breakdown_tol_before_and_after_the_first_beta(rng):
+    # right after initialization there is alpha_1 and no beta yet
+    A, R, Q, b = random_problem(rng, 12, 10)
+    fact = gengk.gengk_init(*(DenseOperator(M) for M in (A, R, Q)), b, 3)
+    assert fact.betas == []
+    assert fact.breakdown_tol == gengk.BREAKDOWN_RTOL * max(fact.alphas)
+    gengk.gengk_step(fact)
+    assert fact.breakdown_tol == gengk.BREAKDOWN_RTOL * max(fact.alphas + fact.betas)
 
 
 def test_diagnostics_csv(tmp_path, rng):
@@ -333,6 +344,19 @@ def test_cgs2_second_pass_when_first_cancels(rng):
     y, My, y_sq, passes = gengk._cgs2(W, x, M @ x, lambda x, Mx, c: M @ x)
     assert passes == 2
     assert np.max(np.abs(W.T @ My)) / np.sqrt(y_sq) <= 1e-14
+
+
+def test_cgs2_against_no_columns_returns_its_input(rng):
+    M = random_spd(rng, 20)
+    x = rng.standard_normal(20)
+    Mx = M @ x
+
+    def next_Mx(x, Mx, c):
+        raise AssertionError("no pass should run")
+
+    y, My, y_sq, passes = gengk._cgs2(np.empty((20, 0)), x, Mx, next_Mx)
+    assert y is x and My is Mx and passes == 0
+    assert y_sq == float(np.dot(x, Mx))
 
 
 def test_cgs2_one_pass_for_a_random_vector(rng):

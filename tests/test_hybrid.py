@@ -164,6 +164,63 @@ def test_array_gcv_and_misfit_match_scalar_loop(rng):
                             [proj.fit(l).f for l in grid], rtol=1e-14, atol=0)
 
 
+def _seeded_bidiagonal(rng, k, zero_column=None):
+    """A (k+1) x k lower bidiagonal with positive entries; ``zero_column``
+    zeroes that column's alpha and beta, so B loses rank and has s = 0."""
+    B = np.zeros((k + 1, k))
+    B.flat[::k + 1] = rng.random(k) + 0.1
+    B.flat[k::k + 1] = rng.random(k) + 0.1
+    if zero_column is not None:
+        B[:, zero_column] = 0.0
+    return B, float(rng.random() + 0.5)
+
+
+def _search_windows(proj):
+    """A 200-point grid over the search window and a 17-point zoom round
+    inside it, both positive."""
+    s_max = proj.s[0]
+    lo, hi = np.log(1e-12 * s_max), np.log(1e3 * s_max)
+    return (np.exp(np.linspace(lo, hi, 200)),
+            np.exp(np.linspace(lo + 0.3 * (hi - lo), lo + 0.4 * (hi - lo), 17)))
+
+
+def test_search_objectives_are_fit_bit_for_bit(rng):
+    # the WGCV and truth-error objectives form only what they minimize, from
+    # the same arithmetic as fit
+    cases = [_seeded_bidiagonal(rng, k) for k in (1, 5, 35)]
+    cases.append(_seeded_bidiagonal(rng, 5, zero_column=2))
+    cases.append(_rank_deficient_bidiagonal())
+    for B, beta1 in cases:
+        proj = hybrid.ProjectedProblem(B, beta1)
+        at_zero = proj.fit(0.0)
+        k = proj.k
+        G = rng.standard_normal((k, k))
+        err = hybrid._ProjectedError(proj, float(rng.random()), G @ G.T,
+                                     rng.standard_normal(k))
+        for lam in _search_windows(proj):
+            for w in (0.8, 1.0):
+                assert np.array_equal(proj._search_gcv(lam, w), proj.fit(lam, w).gcv)
+            assert np.array_equal(err(lam), err.at(proj.fit(lam).f))
+        # the lambda = 0 pieces are formed on demand, the same after a search
+        for before, after in zip(at_zero, proj.fit(0.0)):
+            assert np.array_equal(before, after)
+
+
+def test_search_objectives_fall_back_to_fit_where_lam_squared_underflows(rng):
+    # at a 1e-160 scale the low end of the window has lam^2 = 0, which only
+    # fit's lam = 0 branch handles (a zero singular value would give 0 / 0)
+    B, beta1 = _seeded_bidiagonal(rng, 5, zero_column=2)
+    proj = hybrid.ProjectedProblem(1e-160 * B, beta1)
+    grid, zoom = _search_windows(proj)
+    assert np.square(grid[0]) == 0.0
+    assert np.all(np.isfinite(proj._search_gcv(grid, 0.8)))
+    for lam in (grid, zoom):
+        assert np.all(lam > 0)
+        for w in (0.8, 1.0):
+            assert np.array_equal(proj._search_gcv(lam, w), proj.fit(lam, w).gcv)
+        assert np.array_equal(proj._search_f(lam), proj.fit(lam).f)
+
+
 def _optimal_setup(rng):
     A, R, Q, b = random_problem(rng, 20, 15)
     fact = run_gengk(*wrap(A, R, Q), b, k=15, reorthogonalize=True)
