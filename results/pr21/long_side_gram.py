@@ -53,8 +53,8 @@ def run(decades):
                             STEPS, reorthogonalize=True)
     reorth, long_steps = fact._reorth, []
 
-    def counting(on_u, coupling, x, Mx):
-        out = reorth(on_u, coupling, x, Mx)
+    def counting(on_u, *args):
+        out = reorth(on_u, *args)
         if out and on_u != fact._short_u:
             long_steps.append(fact.k)
         return out

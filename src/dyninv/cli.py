@@ -1,9 +1,10 @@
 """Batch command-line driver.
 
 Subcommands: ``generate`` (build and serialize a test problem), ``solve``
-(run the simultaneous or decoupled solver), ``variance`` (posterior-variance
-field), ``oracle`` (dense reference solves for debugging), and ``kernel-eval``
-(print kernel values).
+(run the simultaneous or decoupled solver; a reorthogonalized solve also
+writes the posterior-variance field from its own factorization), ``oracle``
+(dense reference solves for debugging), and ``kernel-eval`` (print kernel
+values).
 
 Configuration is a flat INI file with typed key-value pairs under section
 headers; every key can be overridden on the command line as
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import os
@@ -100,8 +102,7 @@ SECTIONS = {
         "reorth": Key(bool, "reorthogonalize"),
         "per_time_lambda": Key(bool),                 # decoupled.decoupled_solve
     },
-    "uq": {                                           # uq.restarted_variance_diag
-        "lambda": Key(float, "lam"), "rank": Key(int, default=20)},
+    "uq": {"lambda": Key(float)},   # the variance field's; unset, the solve's
     "output": {"dir": Key(str, default="dyninv_out")},
 }
 # sections a run adds to its manifest.ini, ignored when one is read back
@@ -283,6 +284,10 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
     strategy = build_strategy(cfg, inst)
     options = build_options(cfg, inst)
     method = cfg.get("solver", "method")
+    var_lam = cfg.get("uq", "lambda")
+    if var_lam is not None and not options.reorthogonalize:
+        raise ParameterError("[uq] lambda requires [solver] reorth = true: without "
+                             "reorthogonalization the variance's Ritz pairs degrade")
     os.makedirs(outdir, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -294,6 +299,11 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
         iters = res.iterations
         stop = res.stop_reason
         res.write_convergence_csv(os.path.join(outdir, "convergence.csv"))
+
+        def variance(lam):
+            approx = uq.build_posterior_approx(res.factorization, prior.Q, lam)
+            field = uq.variance_diag(approx)
+            return field.reshape(inst.n_s, inst.n_t, order="F"), approx.rank
     elif method == "decoupled":
         dres = decoupled.decoupled_solve(
             *decoupled.kronecker_factors(inst, prior), inst.d, strategy, options,
@@ -305,6 +315,13 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
         iters = sum(dres.per_time_iters)
         stop = "decoupled"
         _write_decoupled_logs(outdir, dres)
+        facts = {i: r.factorization for i, r in enumerate(dres.sub_results)
+                 if r is not None}
+
+        def variance(lam):
+            rank = sum(uq.build_posterior_approx(f, dres.plan.Q_s, lam).rank
+                       for f in facts.values())
+            return uq.decoupled_variance_diag(dres.plan, facts, lam), rank
     else:
         raise ParameterError(f"unknown solver method {method!r}")
     wall = time.perf_counter() - t0
@@ -315,11 +332,44 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
     if inst.s_true is not None:
         summary["rel_error"] = hybrid.relative_error(s, inst.s_true,
                                                      options.error_mask)
+    # gen-GK does not depend on lambda: the solve's factorization gives the
+    # variance at [uq] lambda as well as at its own
+    var_lam = lam if var_lam is None else var_lam
+    skipped = None
+    if not options.reorthogonalize:
+        skipped = "the solve is not reorthogonalized ([solver] reorth = false)"
+    elif var_lam is None:
+        skipped = "a per-time-lambda solve has no one lambda; set [uq] lambda"
+    elif var_lam <= 0:
+        skipped = f"the variance needs lambda > 0, not {var_lam:.6g}"
+    if skipped is None:
+        summary.update(_write_variance(outdir, inst, prior, var_lam,
+                                       *variance(var_lam)))
+    else:  # a field of an earlier run would not match this solve
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, "variance.bin"))
     _write_summary(outdir, summary)
     print(f"solve done: lambda={'per-time' if lam is None else f'{lam:.6g}'} "
           f"iters={iters} stop={stop} "
           f"wall={wall:.2f}s" + (f" rel_error={summary['rel_error']:.4g}"
                                  if "rel_error" in summary else ""))
+    print(f"no variance field: {skipped}" if skipped else
+          f"variance field written (lambda={var_lam:.6g}, "
+          f"rank={summary['variance_rank']})")
+
+
+def _write_variance(outdir, inst, prior, lam, field, rank) -> dict:
+    """Write the n_s x n_t variance field at ``lam`` from a downdate of
+    ``rank``; return its summary entries, with the largest deviation from the
+    dense posterior when that is feasible."""
+    dio.write_matrix_bin(os.path.join(outdir, "variance.bin"), field)
+    entries = {"variance_lambda": lam, "variance_rank": rank}
+    if inst.n_s * inst.n_t <= 512 and inst.d.size <= 512:
+        p = oracle.DenseProblem(inst.A.to_dense(), inst.R.to_dense(),
+                                prior.Q.to_dense(), inst.d, prior.mean, lam)
+        dev = np.abs(field.ravel(order="F") - np.diag(oracle.dense_posterior(p)))
+        entries["oracle_max_dev"] = float(dev.max())
+    return entries
 
 
 def _write_decoupled_logs(outdir, dres):
@@ -330,39 +380,6 @@ def _write_decoupled_logs(outdir, dres):
             if res is None:
                 continue
             writer.writerows([i] + row for row in res.convergence_rows())
-
-
-def cmd_variance(cfg: RunConfig, outdir: str) -> None:
-    inst = load_problem(cfg)
-    prior = build_prior(cfg, inst)
-    os.makedirs(outdir, exist_ok=True)
-
-    lam = cfg.get("uq", "lambda")
-    if lam is None:
-        summary_path = os.path.join(outdir, "summary.ini")
-        summary = configparser.ConfigParser()
-        if summary.read(summary_path) and summary.has_option("summary", "lambda"):
-            lam = summary.getfloat("summary", "lambda")
-    if lam is None or lam <= 0:
-        raise ParameterError("variance requires a positive lambda, from "
-                             "[uq] lambda or a prior solve summary")
-    rank = cfg.get("uq", "rank")
-
-    b = inst.d - inst.A.apply(prior.mean)
-    var, k_total = uq.restarted_variance_diag(inst.A, inst.R, prior.Q, b, lam,
-                                              rank)
-    dio.write_matrix_bin(os.path.join(outdir, "variance.bin"),
-                         var.reshape(inst.n_s, inst.n_t, order="F"))
-    summary = {"lambda": lam, "k": k_total,
-               "reorthogonalized": True, "command": "variance"}
-    n = inst.n_s * inst.n_t
-    if n <= 512 and inst.d.size <= 512:  # verification footer when the oracle is feasible
-        p = oracle.DenseProblem(inst.A.to_dense(), inst.R.to_dense(),
-                                prior.Q.to_dense(), inst.d, prior.mean, lam)
-        exact = np.diag(oracle.dense_posterior(p))
-        summary["oracle_max_dev"] = float(np.max(np.abs(var - exact)))
-    _write_summary(outdir, summary)
-    print(f"variance field written (k={k_total}, lambda={lam:.6g}) to {outdir}")
 
 
 def cmd_oracle(cfg: RunConfig, outdir: str) -> None:
@@ -395,8 +412,7 @@ def cmd_kernel_eval(args) -> None:
 # Entry point
 # ----------------------------------------------------------------------
 
-COMMANDS = {"generate": cmd_generate, "solve": cmd_solve,
-            "variance": cmd_variance, "oracle": cmd_oracle}
+COMMANDS = {"generate": cmd_generate, "solve": cmd_solve, "oracle": cmd_oracle}
 
 
 def _build_parser():
@@ -423,6 +439,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(rest)
+    except SystemExit as exc:  # argparse has printed why; 2 for a usage error
+        return exc.code
+    try:
         if args.command == "kernel-eval":
             cmd_kernel_eval(args)
         else:

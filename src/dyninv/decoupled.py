@@ -74,6 +74,7 @@ class DecoupledPlan:
 class DecoupledResult:
     S: np.ndarray               # n_s x n_t reconstruction (prior mean included)
     sub_results: list           # SolverResult per time, None where sigma_i = 0
+    plan: DecoupledPlan         # the plan the subproblems were solved in
 
     @property
     def s(self) -> np.ndarray:
@@ -199,4 +200,4 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     results = [solve_subproblem(plan, i, strategy, options) for i in range(plan.n_t)]
 
     QZ = np.column_stack([np.zeros(plan.n_s) if r is None else r.s for r in results])
-    return DecoupledResult(S=recombine(plan, QZ), sub_results=results)
+    return DecoupledResult(S=recombine(plan, QZ), sub_results=results, plan=plan)

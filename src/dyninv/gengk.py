@@ -15,9 +15,9 @@ In exact arithmetic the short side's orthogonality carries over to the long
 side (Simon and Zha, SISC 21(6), 2000); in floating point the long side's
 loss grows roughly like eps cond(B_k), so the estimate lets well-conditioned
 problems skip nearly all long-side work and keeps ill-conditioned ones
-orthogonal.  Reorthogonalization is recommended whenever the factorization
-feeds variance estimation, and required by ``gengk_restart``, which continues
-a reorthogonalized factorization past a breakdown in the same bases.
+orthogonal.  A factorization that feeds variance estimation should be
+reorthogonalized: without it the Ritz pairs degrade, and ``dyninv solve``
+writes a variance field only from a reorthogonalized solve.
 """
 
 from __future__ import annotations
@@ -36,16 +36,11 @@ from .linop import LinearOperator
 # on the units of b.
 BREAKDOWN_RTOL = 1e-14
 
-# A restart vector that orthogonalization against the basis shrinks to this
-# fraction of its weighted norm or below lies in its span up to rounding:
-# that side of the factorization is exhausted.
-RESTART_RTOL = 1e-8
-
 # A reorthogonalized factorization orthogonalizes the long side's new vector
 # against its side too once the omega-recurrence estimate of its largest
 # inner product with an earlier vector exceeds LONG_SIDE_ORTH_TOL.  The
 # recurrence charges LONG_SIDE_EPS times the largest alpha/beta so far as the
-# rounding error of each step, and restarts from LONG_SIDE_EPS after an
+# rounding error of each step, and starts over from LONG_SIDE_EPS after an
 # orthogonalized vector.
 LONG_SIDE_ORTH_TOL = 1e-12
 LONG_SIDE_EPS = np.finfo(float).eps
@@ -60,7 +55,7 @@ class GenGKFactorization:
     Q V have ``A.cols`` rows, and each block has ``max_steps + 1`` columns so
     that u_{k+1} and v_{k+1} fit.  R^{-1} U is not kept: a step needs only
     R^{-1} u_{k+1}, and the diagnostics form R^{-1} U with one ``solve_mat``.
-    A step or restart writes its columns once and never changes them
+    A step writes its columns once and never changes them
     afterwards; the ``*_matrix`` accessors return views of the leading
     columns, which callers must not write to.  Untouched columns of a large
     block never become resident.
@@ -75,8 +70,7 @@ class GenGKFactorization:
     reorthogonalize: bool = False
     alphas: list = field(default_factory=list)   # alpha_1 .. alpha_{k+1}
     betas: list = field(default_factory=list)    # beta_2 .. beta_{k+1}
-    breakdown: int | None = None                 # step index at which it occurred;
-                                                 # a restart clears it
+    breakdown: int | None = None                 # step index at which it occurred
     # Gram-Schmidt passes of each step (0 without reorthogonalization): the
     # short side's, plus the long side's when its drift estimate calls for them
     reorth_passes: list = field(default_factory=list)
@@ -120,9 +114,10 @@ class GenGKFactorization:
         reorthogonalized step always orthogonalizes."""
         return self.A.rows <= self.A.cols
 
-    def _reorth(self, on_u: bool, coupling: float, x, Mx) -> bool:
+    def _reorth(self, on_u: bool, coupling: float, x_sq: float) -> bool:
         """Whether a step orthogonalizes its new u (``on_u``) or v, the
-        unnormalized vector ``x`` with weighted product ``Mx``, against its side.
+        unnormalized vector x with squared weighted norm ``x_sq``, against its
+        side.
 
         The short side is always orthogonalized.  On the long side the
         recurrences beta_{j+1} u_{j+1} = A Q v_j - alpha_j u_j and
@@ -133,14 +128,15 @@ class GenGKFactorization:
         rounding of the step add at most about LONG_SIDE_EPS times the
         largest alpha/beta: the omega-recurrence of Larsen's PROPACK with
         the short side at rounding level (Simon and Zha, SISC 21(6), 2000).
-        It costs one weighted norm, and it grows like eps cond(B_k).  The
-        long side's estimate for the new vector is kept for the next step.
+        It reads the weighted norm that the step formed for ``_cgs2``, and it
+        grows like eps cond(B_k).  The long side's estimate for the new vector
+        is kept for the next step.
         """
         if not self.reorthogonalize:
             return False
         if on_u == self._short_u:
             return True
-        norm = np.sqrt(max(float(np.dot(x, Mx)), 0.0))
+        norm = np.sqrt(max(x_sq, 0.0))
         rounding = LONG_SIDE_EPS * self._largest_scalar
         drift = (coupling * self._drift + rounding) / norm if norm else np.inf
         reorth = drift > LONG_SIDE_ORTH_TOL
@@ -206,17 +202,21 @@ def gengk_init(A: LinearOperator, R: LinearOperator, Q: LinearOperator, b,
     scale = _operator_scale(A, R, Q)
     fact = GenGKFactorization(A=A, R=R, Q=Q, b=b, beta1=0.0,
                               max_steps=max_steps, reorthogonalize=reorthogonalize)
-    fact.beta1, Rinv_b, _ = _append_u(fact, b, R.solve(b), 0.0, False)
+    Rinv_b = R.solve(b)
+    fact.beta1, Rinv_b, _ = _append_u(fact, b, Rinv_b, float(np.dot(b, Rinv_b)),
+                                      0.0, False)
     if fact.beta1 == 0.0:
         raise DegenerateInputError("b = 0: gen-GK iteration undefined")
     w = A.apply_adjoint(Rinv_b / fact.beta1)
-    fact.alphas.append(_append_v(fact, w, Q.apply(w), BREAKDOWN_RTOL * scale, False)[0])
+    Qw = Q.apply(w)
+    fact.alphas.append(_append_v(fact, w, Qw, float(np.dot(w, Qw)),
+                                 BREAKDOWN_RTOL * scale, False)[0])
     if fact.alphas[0] == 0.0:
         fact.breakdown = 0
     return fact
 
 
-def _cgs2(W, x, Mx, next_Mx):
+def _cgs2(W, x, Mx, norm_sq: float, next_Mx):
     """Orthogonalize x against the columns of W in the M inner product.
 
     Block classical Gram-Schmidt with the DGKS criterion (Daniel, Gragg,
@@ -227,14 +227,14 @@ def _cgs2(W, x, Mx, next_Mx):
     coefficients c = W' (M x) from the carried ``Mx`` = M x, so M W is never
     needed, and then ``next_Mx(x, Mx, c)`` gives M x for the updated x:
     either Mx - (M W) c from a cached M W, or a fresh product with M.
+    ``norm_sq`` is x'Mx for the x given, which the caller has formed.
 
     Returns ``(x, Mx, x'Mx, passes)``: the squared weighted norm is the one
-    the criterion computed last, unclamped (x0'Mx0 when W has no columns).
+    the criterion computed last, unclamped (``norm_sq`` when W has no columns).
     A reorthogonalized step calls it with the filled columns of the side
     with fewer rows, and with those of the other side only when that side's
     drift estimate calls for it (no columns otherwise).
     """
-    norm_sq = float(np.dot(x, Mx))
     passes = 0
     if not W.shape[1]:
         return x, Mx, norm_sq, passes
@@ -252,16 +252,16 @@ def _cgs2(W, x, Mx, next_Mx):
     return x, Mx, norm_sq, passes
 
 
-def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float, reorth: bool):
+def _append_u(fact: GenGKFactorization, u, Rinv_u, u_sq: float, tol: float,
+              reorth: bool):
     """Store u / ||u||_{R^{-1}} as the next U column, after orthogonalizing u
-    against the filled ones when ``reorth`` is set (otherwise against none,
-    so that ``_cgs2`` only takes u' R^{-1} u).
+    against the filled ones when ``reorth`` is set; ``u_sq`` is u' R^{-1} u.
 
     Returns ``(norm, R^{-1} u, passes)``; a norm at most ``tol`` stores
     nothing and is returned as 0.0.
     """
     R, U = fact.R, fact._U[:, :fact._nu if reorth else 0]
-    u, Rinv_u, u_sq, passes = _cgs2(U, u, Rinv_u, lambda x, Mx, c: R.solve(x))
+    u, Rinv_u, u_sq, passes = _cgs2(U, u, Rinv_u, u_sq, lambda x, Mx, c: R.solve(x))
     norm = np.sqrt(_clamped_norm_sq(u_sq, "R", tol))
     if norm <= tol:
         return 0.0, Rinv_u, passes
@@ -270,12 +270,13 @@ def _append_u(fact: GenGKFactorization, u, Rinv_u, tol: float, reorth: bool):
     return norm, Rinv_u, passes
 
 
-def _append_v(fact: GenGKFactorization, v, Qv, tol: float, reorth: bool):
+def _append_v(fact: GenGKFactorization, v, Qv, v_sq: float, tol: float,
+              reorth: bool):
     """Store v / ||v||_Q and Q v / ||v||_Q as the next V and Q V columns, as
     ``_append_u`` does for u.  Returns ``(norm, passes)``."""
     n = fact._nv if reorth else 0
     V, QV = fact._V[:, :n], fact._QV[:, :n]
-    v, Qv, v_sq, passes = _cgs2(V, v, Qv, lambda x, Mx, c: Mx - QV @ c)
+    v, Qv, v_sq, passes = _cgs2(V, v, Qv, v_sq, lambda x, Mx, c: Mx - QV @ c)
     norm = np.sqrt(_clamped_norm_sq(v_sq, "Q", tol))
     if norm <= tol:
         return 0.0, passes
@@ -283,18 +284,6 @@ def _append_v(fact: GenGKFactorization, v, Qv, tol: float, reorth: bool):
     np.divide(Qv, norm, out=fact._QV[:, fact._nv])
     fact._nv += 1
     return norm, passes
-
-
-def _append_next_v(fact: GenGKFactorization, Rinv_u, beta: float) -> int:
-    """Append v_{i+1} and alpha_{i+1} from beta_{i+1} and R^{-1} u_{i+1} of the
-    stored unit u_{i+1}; a zero alpha is a breakdown.  Returns the passes."""
-    v = fact.A.apply_adjoint(Rinv_u) - beta * fact._V[:, fact._nv - 1]
-    Qv = fact.Q.apply(v)
-    alpha, passes = _append_v(fact, v, Qv, fact.breakdown_tol,
-                              fact._reorth(False, beta, v, Qv))
-    fact.alphas.append(alpha)
-    fact.breakdown = None if alpha else fact.k
-    return passes
 
 
 def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
@@ -305,6 +294,7 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
     reorthogonalization the new vector of the side with fewer rows is
     orthogonalized against its side, and that of the other side when its
     drift estimate exceeds LONG_SIDE_ORTH_TOL (``GenGKFactorization._reorth``).
+    Each new vector's weighted norm is formed once, for both.
     """
     if fact.breakdown is not None:
         raise RuntimeError("cannot step a broken-down factorization")
@@ -314,50 +304,27 @@ def gengk_step(fact: GenGKFactorization) -> GenGKFactorization:
                            f"factorization was allocated for")
     u = fact.A.apply(fact._QV[:, k]) - fact.alphas[k] * fact._U[:, k]
     Rinv_u = fact.R.solve(u)
-    beta, Rinv_u, passes = _append_u(fact, u, Rinv_u, fact.breakdown_tol,
-                                     fact._reorth(True, fact.alphas[k], u, Rinv_u))
+    u_sq = float(np.dot(u, Rinv_u))
+    beta, Rinv_u, passes = _append_u(fact, u, Rinv_u, u_sq, fact.breakdown_tol,
+                                     fact._reorth(True, fact.alphas[k], u_sq))
     fact.betas.append(beta)
     fact.reorth_passes.append(passes)
     if beta == 0.0:
         fact.breakdown = k + 1
-    else:
-        fact.reorth_passes[-1] += _append_next_v(fact, Rinv_u / beta, beta)
-    return fact
-
-
-def gengk_restart(fact: GenGKFactorization, rng: np.random.Generator) -> bool:
-    """Fill the vector that a breakdown left missing, so that stepping can go on.
-
-    A missing u (beta breakdown) becomes A y, and a missing v (alpha
-    breakdown) A' y, for a random y, orthogonalized against all of U or V;
-    the zero stays in B, so the gen-GK relations keep holding.  A new u is
-    followed by its v and alpha as in a step, and that alpha may break down
-    again.  Returns False, storing nothing, when the new vector keeps at most
-    ``RESTART_RTOL`` of its weighted norm: that side is exhausted.  Its
-    Gram-Schmidt passes are not counted in ``reorth_passes``.
-    """
-    if fact.breakdown is None or not fact.reorthogonalize:
-        raise RuntimeError("only a broken-down reorthogonalized factorization restarts")
-    A = fact.A
-    if fact._nv == len(fact.alphas):
-        u = A.apply(rng.standard_normal(A.cols))
-        Rinv_u = fact.R.solve(u)
-        tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(u, Rinv_u, "R"))
-        norm, Rinv_u, _ = _append_u(fact, u, Rinv_u, tol, True)
-        if norm:
-            if not fact._short_u:
-                fact._drift = LONG_SIDE_EPS
-            _append_next_v(fact, Rinv_u / norm, 0.0)
-        return bool(norm)
-    v = A.apply_adjoint(rng.standard_normal(A.rows))
+        return fact
+    # the apply hands back a fresh vector (its input is a temporary), so the
+    # recurrence's subtraction can go in place
+    v = fact.A.apply_adjoint(Rinv_u / beta)
+    v -= beta * fact._V[:, k]
     Qv = fact.Q.apply(v)
-    tol = RESTART_RTOL * np.sqrt(_weighted_norm_sq(v, Qv, "Q"))
-    if not _append_v(fact, v, Qv, tol, True)[0]:
-        return False
-    if fact._short_u:
-        fact._drift = LONG_SIDE_EPS
-    fact.breakdown = None
-    return True
+    v_sq = float(np.dot(v, Qv))
+    alpha, passes = _append_v(fact, v, Qv, v_sq, fact.breakdown_tol,
+                              fact._reorth(False, beta, v_sq))
+    fact.alphas.append(alpha)
+    fact.reorth_passes[-1] += passes
+    if alpha == 0.0:
+        fact.breakdown = k + 1
+    return fact
 
 
 def _prefix_relations(fact: GenGKFactorization) -> dict:

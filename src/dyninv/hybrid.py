@@ -131,7 +131,7 @@ class ProjectedProblem:
         """The projected problem of ``fact``'s newest B_k, with one SVD per k.
 
         The factorization keeps the last one built and returns it while its
-        k is current.  That is exact: steps and restarts only append to the
+        k is current.  That is exact: steps only append to the
         factorization, so B_k never changes after its step.
         """
         proj = fact._projected

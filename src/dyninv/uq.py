@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .gengk import GenGKFactorization, gengk_init, gengk_restart, gengk_step
+from .gengk import GenGKFactorization
 from .hybrid import ProjectedProblem
 from .linop import LinearOperator
 
@@ -61,8 +61,8 @@ def build_posterior_approx(fact: GenGKFactorization, Q: LinearOperator,
     The SVD of B_k comes from ``hybrid.ProjectedProblem.of(fact)``: the
     factorization keeps the projected problem of its newest B_k, so after a
     solve no second SVD is computed, and after a further step one new one
-    is.  Reorthogonalized factorizations are recommended; without it the
-    Ritz pairs degrade and so do the variance estimates.
+    is.  The factorization should be reorthogonalized; without it the Ritz
+    pairs degrade and so do the variance estimates.
     """
     if lam <= 0:
         raise ParameterError("posterior approximation requires lam > 0")
@@ -91,33 +91,6 @@ def _downdate_diag(approx: PosteriorApprox) -> np.ndarray:
 def variance_diag(approx: PosteriorApprox) -> np.ndarray:
     """Diagonal of the approximate posterior covariance."""
     return approx.Q.diagonal() / approx.lam ** 2 - _downdate_diag(approx)
-
-
-def restarted_variance_diag(A: LinearOperator, R: LinearOperator,
-                            Q: LinearOperator, b, lam: float, rank: int):
-    """Posterior variance from up to ``rank`` reorthogonalized gen-GK steps.
-
-    Returns ``(variance, k)`` with k the number of steps in the downdate.
-    One factorization starts from b (from A y for a random y when b = 0)
-    and goes on past every breakdown with ``gengk_restart`` until it has
-    ``rank`` steps or a restart finds the range of A exhausted.  Its bases
-    stay orthonormal, so k is at most the smaller dimension of A; it can
-    exceed the rank of A when an alpha or beta that is rounding noise passes
-    the breakdown test and starts a step on a noise direction.
-    """
-    rng = np.random.default_rng(0)
-    b = np.asarray(b, dtype=float).ravel()
-    if not np.any(b):
-        b = A.apply(rng.standard_normal(A.cols))
-    if rank <= 0 or not np.any(b):  # b is still 0 only when A y is: A = 0
-        return Q.diagonal() / lam ** 2, 0
-    fact = gengk_init(A, R, Q, b, rank, reorthogonalize=True)
-    while fact.k < rank:
-        if fact.breakdown is None:
-            gengk_step(fact)
-        elif not gengk_restart(fact, rng):
-            break
-    return variance_diag(build_posterior_approx(fact, Q, lam)), fact.k
 
 
 def decoupled_variance_diag(plan, factorizations: dict, lam: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dyninv import cli, io as dio
+from dyninv import cli, decoupled, hybrid, io as dio, oracle, uq
 from dyninv.linop import DenseOperator
 
 
@@ -222,27 +222,56 @@ def test_decoupled_optimal_strategy_is_a_validation_error(tmp_path, deblur_confi
     assert "optimal strategy" in err and "no truth" in err
 
 
+def _decoupled_variance(config, lam, *overrides):
+    """The benchmark's variance for the decoupled solve that ``dyninv solve``
+    runs on ``config``: the downdate of its sub-factorizations in a plan
+    built afresh."""
+    cfg = cli.RunConfig(config, ["--solver.method=decoupled", *overrides])
+    inst = cli.load_problem(cfg)
+    prior = cli.build_prior(cfg, inst)
+    pieces = decoupled.kronecker_factors(inst, prior)
+    dres = decoupled.decoupled_solve(
+        *pieces, inst.d, cli.build_strategy(cfg, inst), cli.build_options(cfg, inst),
+        mu=prior.mean, **cfg.kwargs("solver", "per_time_lambda"))
+    plan = decoupled.build_plan(*pieces, inst.d, prior.mean)
+    facts = {i: r.factorization for i, r in enumerate(dres.sub_results)
+             if r is not None}
+    return uq.decoupled_variance_diag(plan, facts, lam)
+
+
 def test_per_time_solve_leaves_variance_no_lambda(tmp_path, deblur_config, capsys):
-    # each subproblem chose its own lambda: no one value is the solve's
-    assert cli.main(["solve", "--config", deblur_config,
-                     "--solver.method=decoupled", "--solver.strategy=wgcv",
-                     "--solver.per_time_lambda=true"]) == 0
+    # each subproblem chose its own lambda: no one value is the solve's, so
+    # the variance field needs [uq] lambda
+    per_time = ["--solver.method=decoupled", "--solver.strategy=wgcv",
+                "--solver.per_time_lambda=true", "--solver.reorth=true"]
+    assert cli.main(["solve", "--config", deblur_config, *per_time,
+                     "--uq.lambda=1.0"]) == 0
+    V = dio.read_matrix_bin(tmp_path / "out" / "variance.bin")
+    npt.assert_array_equal(V, _decoupled_variance(deblur_config, 1.0, *per_time[1:]))
+    capsys.readouterr()
+    # without it the solve succeeds, says why, and leaves no field behind
+    assert cli.main(["solve", "--config", deblur_config, *per_time]) == 0
+    assert "no variance field: a per-time-lambda solve" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "variance.bin").exists()
     summary = configparser.ConfigParser()
     summary.read(tmp_path / "out" / "summary.ini")
     assert not summary.has_option("summary", "lambda")
-    assert cli.main(["variance", "--config", deblur_config]) == 2
-    assert "requires a positive lambda" in capsys.readouterr().err
+    assert not summary.has_option("summary", "variance_lambda")
 
 
 def test_shared_lambda_decoupled_solve_writes_its_lambda(tmp_path, deblur_config):
-    assert cli.main(["solve", "--config", deblur_config,
+    assert cli.main(["solve", "--config", deblur_config, "--solver.reorth=true",
                      "--solver.method=decoupled", "--solver.lambda=2.5"]) == 0
     summary = configparser.ConfigParser()
     summary.read(tmp_path / "out" / "summary.ini")
     assert summary.getfloat("summary", "lambda") == 2.5
-    assert cli.main(["variance", "--config", deblur_config]) == 0
-    summary.read(tmp_path / "out" / "summary.ini")
-    assert summary.getfloat("summary", "lambda") == 2.5
+    assert summary.getfloat("summary", "variance_lambda") == 2.5
+    V = dio.read_matrix_bin(tmp_path / "out" / "variance.bin")
+    npt.assert_array_equal(V, _decoupled_variance(deblur_config, 2.5,
+                                                  "--solver.lambda=2.5",
+                                                  "--solver.reorth=true"))
+    # 40 steps reach the 36 unknowns of each subproblem: the field is exact
+    assert summary.getfloat("summary", "oracle_max_dev") <= 1e-10
 
 
 def test_negative_space_time_weight_exits_2(tmp_path, deblur_config, capsys):
@@ -252,42 +281,79 @@ def test_negative_space_time_weight_exits_2(tmp_path, deblur_config, capsys):
 
 
 def test_variance_identity_field(tmp_path):
+    # identity forward operator, prior and noise weight: gen-GK breaks down
+    # after one step, so the field is the exact posterior variance
+    # 1/(1 + lam^2) along the data direction and the prior 1/lam^2 off it
+    lam = 1.0
     cfg = write_config(tmp_path / "c.ini", {
         "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "2",
                     "seed": "0", "noise_level": "0.0",
                     "spatial_sigma": "1e-9", "spatial_bandwidth": "1",
                     "temporal_sigma": "1e-9", "temporal_bandwidth": "1"},
         "prior": {"spatial": "identity", "temporal": "identity"},
-        "uq": {"lambda": "1.0", "rank": "32"},
+        "solver": {"strategy": "fixed", "lambda": str(lam), "reorth": "true"},
         "output": {"dir": str(tmp_path / "o")},
     })
-    assert cli.main(["variance", "--config", cfg]) == 0
+    assert cli.main(["solve", "--config", cfg]) == 0
     V = dio.read_matrix_bin(tmp_path / "o" / "variance.bin")
-    # identity forward operator: posterior variance is 1/(1 + lam^2) = 0.5
-    npt.assert_allclose(V, np.full((16, 2), 0.5), rtol=1e-10)
+    d = cli.load_problem(cli.RunConfig(cfg)).d
+    along = (d / np.linalg.norm(d)) ** 2
+    expected = (1 - along) / lam ** 2 + along / (1 + lam ** 2)
+    npt.assert_allclose(V, expected.reshape(16, 2, order="F"), rtol=1e-10)
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "o" / "summary.ini")
+    assert summary.get("summary", "stop_reason") == "breakdown"
+    assert summary.getint("summary", "variance_rank") == 1
 
 
-def test_variance_rank0_is_prior(tmp_path):
-    cfg = write_config(tmp_path / "c.ini", {
-        "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "2",
-                    "seed": "0", "noise_level": "0.01"},
-        "prior": {"spatial": "identity", "temporal": "identity"},
-        "uq": {"lambda": "2.0", "rank": "0"},
-        "output": {"dir": str(tmp_path / "o")},
-    })
-    assert cli.main(["variance", "--config", cfg]) == 0
-    V = dio.read_matrix_bin(tmp_path / "o" / "variance.bin")
-    npt.assert_allclose(V, np.full((16, 2), 0.25), rtol=1e-12)
+def test_variance_matches_the_dense_posterior_at_full_rank(tmp_path, deblur_config):
+    # 108 steps exhaust the 108 unknowns; the field is the benchmark's
+    # downdate of the solve's factorization, bit for bit
+    full = ["--solver.reorth=true", "--solver.max_iter=108"]
+    assert cli.main(["solve", "--config", deblur_config, *full]) == 0
+    V = dio.read_matrix_bin(tmp_path / "out" / "variance.bin").ravel(order="F")
+    cfg = cli.RunConfig(deblur_config, full)
+    inst = cli.load_problem(cfg)
+    prior = cli.build_prior(cfg, inst)
+    res = hybrid.genhybr_solve(inst.A, inst.R, prior, inst.d,
+                               cli.build_strategy(cfg, inst),
+                               cli.build_options(cfg, inst), s_true=inst.s_true)
+    npt.assert_array_equal(V, uq.variance_diag(
+        uq.build_posterior_approx(res.factorization, prior.Q, res.lam)))
+    exact = np.diag(oracle.dense_posterior(oracle.DenseProblem(
+        inst.A.to_dense(), inst.R.to_dense(), prior.Q.to_dense(), inst.d,
+        prior.mean, res.lam)))
+    npt.assert_allclose(V, exact, rtol=1e-10)
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "out" / "summary.ini")
+    assert summary.getint("summary", "variance_rank") == 108
+    assert summary.getfloat("summary", "oracle_max_dev") == np.max(np.abs(V - exact))
 
 
-def test_variance_requires_lambda(tmp_path):
-    cfg = write_config(tmp_path / "c.ini", {
-        "problem": {"generator": "deblur", "nx": "4", "ny": "4", "n_t": "2",
-                    "seed": "0"},
-        "prior": {"spatial": "identity", "temporal": "identity"},
-        "output": {"dir": str(tmp_path / "nope")},
-    })
-    assert cli.main(["variance", "--config", cfg]) == 2
+def test_variance_requires_lambda(tmp_path, deblur_config, capsys):
+    # Fixed lambda = 0 has no posterior: the solve succeeds without a field
+    assert cli.main(["solve", "--config", deblur_config, "--solver.reorth=true",
+                     "--solver.lambda=0"]) == 0
+    assert "no variance field: the variance needs lambda > 0" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "variance.bin").exists()
+
+
+def test_uq_lambda_without_reorth_exits_2(tmp_path, deblur_config, capsys):
+    # without reorthogonalization the Ritz pairs degrade, and so would the field
+    assert cli.main(["solve", "--config", deblur_config, "--uq.lambda=1.0"]) == 2
+    assert "requires [solver] reorth = true" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reconstruction.bin").exists()
+
+
+def test_a_solve_without_reorth_writes_no_variance(tmp_path, deblur_config, capsys):
+    assert cli.main(["solve", "--config", deblur_config]) == 0
+    assert "no variance field: the solve is not reorthogonalized" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "variance.bin").exists()
+
+
+def test_variance_is_an_unknown_command(deblur_config, capsys):
+    assert cli.main(["variance", "--config", deblur_config]) == 2
+    assert "invalid choice: 'variance'" in capsys.readouterr().err
 
 
 def test_oracle_subcommand(tmp_path, deblur_config):
@@ -347,7 +413,7 @@ def test_generate_with_defaults_only_is_pinned(tmp_path, generator, d_sha):
     ("generate", "--problem.noise_levl=0.5", "unknown config key [problem] noise_levl"),
     ("solve", "--solver.stratgy=fixed", "unknown config key [solver] stratgy"),
     ("solve", "--prior.nuu=2.5", "unknown config key [prior] nuu"),
-    ("variance", "--uq.rnak=3", "unknown config key [uq] rnak"),
+    ("solve", "--uq.rnak=3", "unknown config key [uq] rnak"),
     ("oracle", "--output.dri=elsewhere", "unknown config key [output] dri"),
     ("solve", "--solvr.strategy=fixed", "unknown config key [solvr] strategy"),
     ("solve", "--solver.reorth=ture", "Not a boolean: ture"),

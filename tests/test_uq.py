@@ -10,8 +10,7 @@ from dyninv import decoupled, gengk, hybrid, oracle, uq
 from dyninv.linop import DenseOperator, DiagonalOperator, SparseOperator, identity
 from dyninv.priorcov import PriorModel
 
-from conftest import (block_restart_instance, fresh_projections, random_orthogonal,
-                      random_problem, random_spd, run_gengk)
+from conftest import fresh_projections, random_problem, random_spd, run_gengk
 
 
 def wrap(A, R, Q):
@@ -184,90 +183,6 @@ def test_decoupled_variance_missing_factorization():
                                 np.eye(2), identity(2), np.ones(4))
     with pytest.raises(ParameterError):
         uq.decoupled_variance_diag(plan, {0: None, 1: None}, lam=1.0)
-
-
-def _restart_instances(rng):
-    """(A, R, Q, b) with full-rank A; rank-deficient A, also with b = 0 and
-    with A' R^{-1} b = 0, so the first breakdown is at initialization; A = 0
-    with b = 0; and a
-    block-diagonal problem whose b excites one block only, so the Krylov
-    space breaks down after half the dimension and a restart must supply the
-    rest, as it is and rotated by random orthogonal P1, P2 (A -> P1 A P2,
-    R -> P1 R P1', Q -> P2' Q P2, b -> P1 b), which removes its exact zeros."""
-    A = rng.standard_normal((12, 12))
-    yield A, random_spd(rng, 12), random_spd(rng, 12), rng.standard_normal(12)
-    A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))
-    R, Q = random_spd(rng, 6), random_spd(rng, 9)
-    yield A, R, Q, rng.standard_normal(6)
-    yield A, R, Q, np.zeros(6)
-    yield A, R, Q, R @ np.linalg.svd(A)[0][:, 4]
-    yield np.zeros((6, 9)), R, Q, np.zeros(6)
-    A, R, Q, b = block_restart_instance(rng)
-    yield A, R, Q, b
-    for seed in range(20):
-        rot = np.random.default_rng(seed)
-        P1, P2 = random_orthogonal(rot, 8), random_orthogonal(rot, 8)
-        yield P1 @ A @ P2, P1 @ R @ P1.T, P2.T @ Q @ P2, P1 @ b
-
-
-def test_restarted_variance_matches_dense_up_to_twice_the_dimension():
-    rng = np.random.default_rng(7)
-    lam = 0.7
-    for A, R, Q, b in _restart_instances(rng):
-        n = A.shape[1]
-        reachable = np.linalg.matrix_rank(A)
-        exact = np.diag(oracle.dense_posterior(
-            oracle.DenseProblem(A, R, Q, b, lam=lam)))
-        for rank in range(reachable, 2 * n + 1):
-            var, k = uq.restarted_variance_diag(
-                DenseOperator(A), DenseOperator(R), DenseOperator(Q), b, lam, rank)
-            assert k <= n, (A.shape, rank, k)
-            assert np.all(var >= 0), (A.shape, rank, var.min())
-            npt.assert_allclose(var, exact, rtol=1e-10, atol=0)
-
-
-def test_restarted_factorization_keeps_both_bases_orthonormal(monkeypatch):
-    # each step reorthogonalizes only the side with fewer rows (U when
-    # m <= n), and a restart vector its whole side: the other side must stay
-    # orthonormal through every restart, on the rotated instances too
-    facts = []
-    build = uq.build_posterior_approx
-
-    def capture(fact, Q, lam):
-        facts.append(fact)
-        return build(fact, Q, lam)
-
-    monkeypatch.setattr(uq, "build_posterior_approx", capture)
-    for A, R, Q, b in _restart_instances(np.random.default_rng(7)):
-        uq.restarted_variance_diag(DenseOperator(A), DenseOperator(R),
-                                   DenseOperator(Q), b, 0.7, 2 * A.shape[1])
-    restarted = 0
-    for fact in facts:
-        B = fact.bidiagonal()
-        restarted += np.any(np.diag(B) == 0) or np.any(np.diag(B, -1) == 0)
-        report = gengk.krylov_basis_span_check(fact)
-        assert report["orth_U"] <= 1e-10 and report["orth_V"] <= 1e-10, report
-    # A = 0 with b = 0 returns the prior before any factorization; every
-    # rotated instance restarts
-    assert len(facts) == 25 and restarted >= 20, restarted
-
-
-def test_restarted_variance_keeps_a_block_far_below_the_first():
-    # the second block's singular values are 1e-7 of the first's, so the
-    # restart's Ritz values are below 1e-14 of the largest; at lam of their
-    # size the posterior variance there is 0.09 to 0.71 of the prior
-    A, R, Q, b = block_restart_instance(np.random.default_rng(7))
-    A[4:, 4:] *= 1e-7
-    lam = 1e-7
-    exact = np.diag(oracle.dense_posterior(oracle.DenseProblem(A, R, Q, b, lam=lam)))
-    var, k = uq.restarted_variance_diag(
-        DenseOperator(A), DenseOperator(R), DenseOperator(Q), b, lam, 8)
-    assert k == 8
-    npt.assert_allclose(var[4:], exact[4:], rtol=1e-10, atol=0)
-    # in the first block the posterior variance is 1e-14 of the prior, so the
-    # downdate keeps its accuracy relative to the prior only
-    prior = np.diag(Q) / lam ** 2
-    assert np.all(np.abs(var - exact)[:4] <= 1e-12 * prior[:4])
 
 
 @pytest.mark.parametrize("lam, kept", [(0.5, "all"), (1e3, "some"), (1e9, "none")])
