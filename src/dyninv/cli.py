@@ -298,6 +298,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
         lam = res.lam
         iters = res.iterations
         stop = res.stop_reason
+        stops = {stop}
         res.write_convergence_csv(os.path.join(outdir, "convergence.csv"))
 
         def variance(lam):
@@ -314,6 +315,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
         lam = None if cfg.get("solver", "per_time_lambda") else strategy.lam
         iters = sum(dres.per_time_iters)
         stop = "decoupled"
+        stops = {r.stop_reason for r in dres.sub_results if r is not None}
         _write_decoupled_logs(outdir, dres)
         facts = {i: r.factorization for i, r in enumerate(dres.sub_results)
                  if r is not None}
@@ -355,7 +357,9 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> None:
                                  if "rel_error" in summary else ""))
     print(f"no variance field: {skipped}" if skipped else
           f"variance field written (lambda={var_lam:.6g}, "
-          f"rank={summary['variance_rank']})")
+          f"rank={summary['variance_rank']})" +
+          ("; warning: a gcv-flat stop truncated its basis, so the field is not "
+           "converged" if "gcv-flat" in stops else ""))
 
 
 def _write_variance(outdir, inst, prior, lam, field, rank) -> dict:

@@ -91,17 +91,14 @@ class DecoupledResult:
 
 def kronecker_factors(inst, prior: PriorModel):
     """Split a problem instance and its prior into the factors
-    (A_t, A_s, R_t, R_s, Q_t, Q_s) of the decoupled solver.
-
-    A and Q must be ``KroneckerOperator``s and R a ``ScaledIdentityOperator``
-    sigma^2 I, which splits as R_t = I and R_s = sigma^2 I; anything else
-    raises ``ParameterError``.
+    (A_t, A_s, R_t, R_s, Q_t, Q_s) of the decoupled solver: the ``left`` and
+    ``right`` of the Kronecker A and Q, and R_t = I, R_s = sigma^2 I of a
+    ``ScaledIdentityOperator`` R; anything else raises ``ParameterError``.
     """
     A, Q = inst.A, prior.Q
-    if not isinstance(A, KroneckerOperator):
-        raise ParameterError("decoupled solver requires a Kronecker forward operator")
-    if not isinstance(Q, KroneckerOperator):
-        raise ParameterError("decoupled solver requires a Kronecker prior covariance")
+    for op, what in ((A, "forward operator"), (Q, "prior covariance")):
+        if not isinstance(op, KroneckerOperator):
+            raise ParameterError(f"decoupled solver requires a Kronecker {what}")
     if not isinstance(inst.R, ScaledIdentityOperator):
         raise ParameterError("decoupled solver requires scaled-identity noise")
     Rs = ScaledIdentityOperator(inst.R.scale, A.right.rows)
@@ -176,15 +173,9 @@ def decoupled_solve(A_t, A_s, R_t, R_s, Q_t, Q_s, d, strategy,
     Optimal is rejected either way: the subproblem unknowns are transformed
     coefficients, which have no truth to measure an error against.
 
-    The subproblems run in turn in the calling thread.  ``threads`` is
-    accepted and ignored; it goes once the benchmark stops passing it.  A
-    thread pool cost time at desk scale: the subproblems are
-    interpreter-bound and contend for the interpreter lock.  At n_s = 1,024
-    (the ``deblur-decoupled`` benchmark, seed 1) two solver threads took
-    1.07 to 1.41 times as long as one, best and median of nine in-process
-    solves per thread count over two runs of ``results/pr21/thread_cost.py``
-    (output in ``results/pr21/thread_cost.txt``; 2-core x86-64 VM, one BLAS
-    thread).
+    The subproblems run in turn in the calling thread, since a thread pool
+    cost time at desk scale (measured in the README).  ``threads`` is
+    accepted and ignored; it goes once the benchmark stops passing it.
     """
     if isinstance(strategy, hybrid.Optimal):
         raise ParameterError(

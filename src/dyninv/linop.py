@@ -14,16 +14,21 @@ one-column block.  Composite operators reach their factors through the
 factors' public block methods only, so a wrapper that overrides those
 methods sees every application of the factor it wraps.
 
-Vectorization convention: ``vec`` stacks matrix columns, so for a Kronecker
-product ``Q_t (x) Q_s`` acting on ``x = vec(X)`` with ``X`` of shape
-``(n_s, n_t)`` the product is ``vec(Q_s @ X @ Q_t.T)``.  This is the single
-wire convention used throughout the package.
+Vectorization convention: ``vec`` stacks matrix columns, the one wire
+convention of the package.  A Kronecker product ``F_1 (x) ... (x) F_n``
+lists its factors slowest first and acts on ``x``, the F-order flattening of
+a tensor of shape ``(c_n, ..., c_1)``, with ``F_k`` on axis ``n - k``: so
+``Q_t (x) Q_s`` maps ``vec(X)``, ``X`` of shape ``(n_s, n_t)``, to
+``vec(Q_s @ X @ Q_t.T)``.
 
 Operators are immutable after construction (internal factorization caches
 aside) and safe to share across threads.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -237,52 +242,60 @@ def identity(n: int) -> ScaledIdentityOperator:
 
 
 class KroneckerOperator(LinearOperator):
-    """Kronecker product ``left (x) right`` applied via the reshape identity.
+    """Kronecker product ``factors[0] (x) factors[1] (x) ...``, slowest first.
 
-    ``left`` is the temporal factor (e.g. Q_t), ``right`` the spatial factor
-    (e.g. Q_s); an action on a block of p columns costs one block call per
-    factor instead of one dense product of the full Kronecker matrix.
+    A ``KroneckerOperator`` argument contributes its own factors, so nested
+    and flat constructions build the same operator.  An action calls each
+    factor's block method once, fastest first, on the flat F-order block
+    viewed as ``(c, -1)``; reading the row-major result back flat moves that
+    axis last, and after the slowest factor gives the result in C order.
     """
 
-    def __init__(self, left: LinearOperator, right: LinearOperator):
-        super().__init__(left.rows * right.rows, left.cols * right.cols)
-        self.left = left
-        self.right = right
+    def __init__(self, *factors: LinearOperator):
+        self.factors = tuple(g for f in factors for g in
+                             (f.factors if isinstance(f, KroneckerOperator) else (f,)))
+        if len(self.factors) < 2:
+            raise ParameterError("a Kronecker product needs at least two factors")
+        super().__init__(math.prod(f.rows for f in self.factors),
+                         math.prod(f.cols for f in self.factors))
 
-    @staticmethod
-    def _act(M, left_act, right_act, right_in, left_in):
-        """``vec(right_act(X_j) left_act^T)`` for each column ``vec(X_j)`` of
-        ``M``, with ``X_j`` of shape ``(right_in, left_in)``: ``right_act``
-        runs once on the p blocks side by side, ``left_act`` once on their
-        transposes."""
-        p = M.shape[1]
-        Y = right_act(M.reshape(right_in, left_in * p, order="F"))
-        right_out = Y.shape[0]
-        Y = Y.reshape(right_out, left_in, p, order="F").transpose(1, 0, 2)
-        Z = left_act(Y.reshape(left_in, right_out * p, order="F"))
-        left_out = Z.shape[0]
-        Z = Z.reshape(left_out, right_out, p, order="F").transpose(1, 0, 2)
-        return Z.reshape(right_out * left_out, p, order="F")
+    @property
+    def left(self) -> LinearOperator:
+        """The slowest factor."""
+        return self.factors[0]
+
+    @functools.cached_property
+    def right(self) -> LinearOperator:
+        """The product of the other factors, or the other factor itself."""
+        return self.factors[1] if len(self.factors) == 2 else KroneckerOperator(*self.factors[1:])
+
+    def _act(self, M, method, side, n_out):
+        if M.size == 0 or n_out == 0:
+            return np.zeros((n_out, M.shape[1]))
+        x = M.reshape(-1, order="F")
+        for f in reversed(self.factors):
+            x = getattr(f, method)(x.reshape(getattr(f, side), -1, order="F")).reshape(-1)
+        return x.reshape(n_out, -1)
 
     def _matmat(self, M):
-        return self._act(M, self.left.apply_mat, self.right.apply_mat,
-                         self.right.cols, self.left.cols)
+        return self._act(M, "apply_mat", "cols", self._rows)
 
     def _rmatmat(self, M):
-        return self._act(M, self.left.apply_adjoint_mat, self.right.apply_adjoint_mat,
-                         self.right.rows, self.left.rows)
+        return self._act(M, "apply_adjoint_mat", "rows", self._cols)
 
     def _solve_mat(self, M):
-        return self._act(M, self.left.solve_mat, self.right.solve_mat,
-                         self.right.cols, self.left.cols)
+        return self._act(M, "solve_mat", "cols", self._cols)
+
+    def _fold(self, part, kron):
+        # a right fold, as nested products associate; a left fold changes bits
+        return functools.reduce(lambda acc, f: kron(part(f), acc),
+                                self.factors[-2::-1], part(self.factors[-1]))
 
     def _diagonal(self):
-        dl = self.left.diagonal()
-        dr = self.right.diagonal()
-        return np.outer(dr, dl).reshape(-1, order="F")
+        return self._fold(lambda f: f.diagonal(), lambda a, b: np.outer(a, b).ravel())
 
     def _to_dense(self, budget):
-        return np.kron(self.left.to_dense(budget), self.right.to_dense(budget))
+        return self._fold(lambda f: f.to_dense(budget), np.kron)
 
 
 class ScaledOperator(LinearOperator):

@@ -13,13 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import BudgetExceededError, ConditioningError, ParameterError
-from .linop import DENSIFY_BUDGET, LinearOperator
-
-
-def _dense(x):
-    if isinstance(x, LinearOperator):
-        return x.to_dense()
-    return np.asarray(x, dtype=float)
+from .linop import DENSIFY_BUDGET, aslinearoperator
 
 
 @dataclass
@@ -35,9 +29,8 @@ class DenseProblem:
     budget: int = DENSIFY_BUDGET
 
     def __post_init__(self):
-        self.A = _dense(self.A)
-        self.R = _dense(self.R)
-        self.Q = _dense(self.Q)
+        self.A, self.R, self.Q = (aslinearoperator(x).to_dense(self.budget)
+                                  for x in (self.A, self.R, self.Q))
         self.d = np.asarray(self.d, dtype=float).ravel()
         m, n = self.A.shape
         if self.mu is None:

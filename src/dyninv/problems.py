@@ -108,18 +108,17 @@ def gen_dynamic_deblur(nx: int, ny: int, n_t: int, spatial_sigma: float = 0.07,
                        spatial_bandwidth: int = 3, temporal_sigma: float = 1.0,
                        temporal_bandwidth: int = 3, noise_level: float = 0.02,
                        seed: int = 0) -> ProblemInstance:
-    """Space-time Gaussian blur: A = A_t (x) A_s with A_s itself a Kronecker
-    of two banded 1-D blurs.  Temporal sigma is in index units (unit spacing)."""
+    """Space-time Gaussian blur A = A_t (x) T_x (x) T_y of banded 1-D blurs.
+    Temporal sigma is in index units (unit spacing)."""
     Tx = gaussian_blur_1d(nx, spatial_sigma, spatial_bandwidth)
     Ty = gaussian_blur_1d(ny, spatial_sigma, spatial_bandwidth)
-    # pixel index ix*ny + iy: x is the slow (left Kronecker) factor
-    A_s = KroneckerOperator(DenseOperator(Tx), DenseOperator(Ty))
     if n_t > 1:
         At = gaussian_blur_1d(n_t, temporal_sigma, min(temporal_bandwidth, n_t - 1),
                               spacing=1.0)
     else:
         At = np.array([[1.0]])
-    A = KroneckerOperator(DenseOperator(At), A_s)
+    # pixel index ix*ny + iy: x is the slower spatial factor
+    A = KroneckerOperator(DenseOperator(At), DenseOperator(Tx), DenseOperator(Ty))
 
     s_true = _moving_feature_truth(nx, ny, n_t)
     d, R, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
@@ -333,6 +332,10 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
 # Instance serialization
 # ----------------------------------------------------------------------
 
+# the files of a deblur forward model's factors A_t, T_x, T_y, slowest first
+_KRON_FILES = ("A_t.bin", "A_s_x.bin", "A_s_y.bin")
+
+
 def save_instance(inst: ProblemInstance, directory) -> None:
     """Serialize an instance to a directory: manifest + operator pieces + arrays.
 
@@ -357,11 +360,8 @@ def save_instance(inst: ProblemInstance, directory) -> None:
 
     if inst.kind == "deblur":
         cfg["instance"]["structure"] = "kron"
-        dio.write_matrix_bin(os.path.join(directory, "A_t.bin"), inst.A.left.entries)
-        dio.write_matrix_bin(os.path.join(directory, "A_s_x.bin"),
-                             inst.A.right.left.entries)
-        dio.write_matrix_bin(os.path.join(directory, "A_s_y.bin"),
-                             inst.A.right.right.entries)
+        for name, factor in zip(_KRON_FILES, inst.A.factors):
+            dio.write_matrix_bin(os.path.join(directory, name), factor.entries)
     else:
         cfg["instance"]["structure"] = "sparse"
         sp.save_npz(os.path.join(directory, "A.npz"), inst.A.matrix,
@@ -395,11 +395,9 @@ def load_instance(directory) -> ProblemInstance:
     meta = {}
     structure = sec.get("structure")
     if structure == "kron":
-        At = dio.read_matrix_bin(os.path.join(directory, "A_t.bin"))
-        Tx = dio.read_matrix_bin(os.path.join(directory, "A_s_x.bin"))
-        Ty = dio.read_matrix_bin(os.path.join(directory, "A_s_y.bin"))
-        A_s = KroneckerOperator(DenseOperator(Tx), DenseOperator(Ty))
-        A = KroneckerOperator(DenseOperator(At), A_s)
+        A = KroneckerOperator(*(
+            DenseOperator(dio.read_matrix_bin(os.path.join(directory, name)))
+            for name in _KRON_FILES))
     elif structure == "sparse":
         A = SparseOperator(sp.load_npz(os.path.join(directory, "A.npz")))
     else:

@@ -259,6 +259,29 @@ def test_per_time_solve_leaves_variance_no_lambda(tmp_path, deblur_config, capsy
     assert not summary.has_option("summary", "variance_lambda")
 
 
+def test_a_variance_after_a_gcv_flat_stop_warns(tmp_path, deblur_config, capsys):
+    # the per-time WGCV subproblems stop on a flat GCV curve well before they
+    # exhaust their 36 unknowns: the field is far from the posterior, and the
+    # variance line says so
+    assert cli.main(["solve", "--config", deblur_config, "--solver.method=decoupled",
+                     "--solver.strategy=wgcv", "--solver.per_time_lambda=true",
+                     "--solver.reorth=true", "--uq.lambda=1.0"]) == 0
+    out = capsys.readouterr().out
+    assert "variance field written" in out
+    assert "warning: a gcv-flat stop truncated its basis" in out
+    summary = configparser.ConfigParser()
+    summary.read(tmp_path / "out" / "summary.ini")
+    assert summary.getint("summary", "variance_rank") < 108
+    assert summary.getfloat("summary", "oracle_max_dev") > 1.0
+
+
+def test_a_variance_after_a_max_iter_stop_does_not_warn(tmp_path, deblur_config, capsys):
+    assert cli.main(["solve", "--config", deblur_config, "--solver.reorth=true"]) == 0
+    out = capsys.readouterr().out
+    assert "stop=max-iter" in out and "variance field written" in out
+    assert "warning" not in out
+
+
 def test_shared_lambda_decoupled_solve_writes_its_lambda(tmp_path, deblur_config):
     assert cli.main(["solve", "--config", deblur_config, "--solver.reorth=true",
                      "--solver.method=decoupled", "--solver.lambda=2.5"]) == 0

@@ -1,13 +1,16 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from dyninv import linop
-from dyninv.errors import BudgetExceededError, ShapeError
+from dyninv import decoupled, linop, problems
+from dyninv.errors import BudgetExceededError, ParameterError, ShapeError
 from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
                           LinearOperator, ScaledIdentityOperator, ScaledOperator,
                           SparseOperator, identity, aslinearoperator)
+from dyninv.priorcov import PriorModel
 
 from conftest import random_spd
 
@@ -52,26 +55,85 @@ def test_kron_matvec_identity_and_scalar():
 
 
 def test_kronecker_agreement_random(rng):
-    for _ in range(5):
-        p, q, r, s = rng.integers(2, 9, size=4)
-        L = rng.standard_normal((p, q))
-        Rm = rng.standard_normal((r, s))
-        K = KroneckerOperator(DenseOperator(L), DenseOperator(Rm))
-        dense = np.kron(L, Rm)
-        x = rng.standard_normal(q * s)
-        y = rng.standard_normal(p * r)
+    # 2, 3 and 4 rectangular factors, on a vector and on a 4-column block
+    for n_factors in (2, 2, 3, 3, 4):
+        mats = [rng.standard_normal(shape)
+                for shape in rng.integers(2, 6 if n_factors > 2 else 9, size=(n_factors, 2))]
+        K = KroneckerOperator(*map(DenseOperator, mats))
+        dense = functools.reduce(np.kron, mats)
+        assert len(K.factors) == n_factors
+        npt.assert_allclose(K.to_dense(), dense, rtol=1e-14, atol=1e-14)
+        for p in (1, 4):
+            X = rng.standard_normal((K.cols, p))
+            Y = rng.standard_normal((K.rows, p))
+            npt.assert_allclose(K.apply_mat(X), dense @ X, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(K.apply_adjoint_mat(Y), dense.T @ Y, rtol=1e-12, atol=1e-12)
+        x = rng.standard_normal(K.cols)
+        y = rng.standard_normal(K.rows)
         npt.assert_allclose(K.apply(x), dense @ x, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(K.apply_adjoint(y), dense.T @ y, rtol=1e-12, atol=1e-12)
 
 
 def test_kronecker_solve_and_diagonal(rng):
-    Qt = random_spd(rng, 3)
-    Qs = random_spd(rng, 4)
-    K = KroneckerOperator(DenseOperator(Qt), DenseOperator(Qs))
-    dense = np.kron(Qt, Qs)
-    x = rng.standard_normal(12)
-    npt.assert_allclose(K.solve(dense @ x), x, rtol=1e-9, atol=1e-10)
-    npt.assert_allclose(K.diagonal(), np.diag(dense), rtol=1e-13)
+    # two and three SPD factors
+    for sizes in ((3, 4), (2, 3, 4)):
+        mats = [random_spd(rng, n) for n in sizes]
+        K = KroneckerOperator(*map(DenseOperator, mats))
+        dense = functools.reduce(np.kron, mats)
+        x = rng.standard_normal(K.cols)
+        npt.assert_allclose(K.solve(dense @ x), x, rtol=1e-9, atol=1e-10)
+        npt.assert_allclose(K.diagonal(), np.diag(dense), rtol=1e-13)
+
+
+def test_nested_and_flat_kronecker_are_one_operator(rng):
+    # a Kronecker factor contributes its own factors, slowest first; left and
+    # right split off the slowest factor as the decoupled solver does
+    Qt, Qx, Qy = (DenseOperator(random_spd(rng, n)) for n in (2, 3, 4))
+    flat = KroneckerOperator(Qt, Qx, Qy)
+    assert flat.factors == (Qt, Qx, Qy)
+    x = rng.standard_normal(flat.cols)
+    X = rng.standard_normal((flat.cols, 4))
+    for op in (KroneckerOperator(Qt, KroneckerOperator(Qx, Qy)),
+               KroneckerOperator(KroneckerOperator(Qt, Qx), Qy),
+               KroneckerOperator(flat)):
+        assert op.factors == flat.factors and op.shape == flat.shape
+        for action in (lambda K: K.apply(x), lambda K: K.apply_mat(X),
+                       lambda K: K.apply_adjoint_mat(X), lambda K: K.solve(x),
+                       lambda K: K.solve_mat(X), lambda K: K.diagonal(),
+                       lambda K: K.to_dense()):
+            assert np.array_equal(action(op), action(flat))
+    assert flat.left is Qt
+    assert isinstance(flat.right, KroneckerOperator) and flat.right.factors == (Qx, Qy)
+    assert KroneckerOperator(Qx, Qy).right is Qy
+
+    inst = problems.gen_dynamic_deblur(5, 4, 3, seed=1)
+    prior = PriorModel.zero_mean(flat)
+    At, As, _, _, Qt_split, Qs_split = decoupled.kronecker_factors(inst, prior)
+    assert At is inst.A.factors[0] and As.factors == inst.A.factors[1:]
+    assert Qt_split is Qt and Qs_split.factors == (Qx, Qy)
+    for factors in ((), (Qt,)):
+        with pytest.raises(ParameterError):
+            KroneckerOperator(*factors)
+
+
+def test_kronecker_vector_action_copies_nothing(rng):
+    # on one column each factor acts on a view of the input or of the output
+    # of the factor before it, and the result is a view of the last output
+    seen = []
+
+    class Recording(DenseOperator):
+        def _matmat(self, M):
+            seen.append((M, super()._matmat(M)))
+            return seen[-1][1]
+
+    K = KroneckerOperator(*(Recording(rng.standard_normal((n, n + 1))) for n in (2, 3, 4)))
+    v = rng.standard_normal((K.cols, 1))
+    y = K.apply_mat(v)
+    assert len(seen) == 3 and np.shares_memory(seen[0][0], v)
+    for (_, before), (M, _) in zip(seen, seen[1:]):
+        assert np.shares_memory(M, before)
+    assert np.shares_memory(y, seen[-1][1])
+    npt.assert_allclose(y, K.to_dense() @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_block_diag_equals_kron_with_identity(rng):
@@ -100,6 +162,9 @@ def every_operator_type(rng):
         KroneckerOperator(dense(n_t, n_t), dense(n_s, n_s)),
         # the deblur workloads' shapes: A_t (x) (T_x (x) T_y), and A_s scaled
         KroneckerOperator(dense(2, 3), KroneckerOperator(dense(3, 2), dense(4, 3))),
+        # flat, three factors of different types
+        KroneckerOperator(SparseOperator(sp.random(3, 2, density=0.5, random_state=rng)),
+                          dense(2, 3), DiagonalOperator(rng.random(2) + 0.1)),
         ScaledOperator(-1.5, dense(4, 6)),
         ScaledOperator(-1.5, KroneckerOperator(dense(3, 2), dense(2, 4))),
     ]

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from dyninv.errors import ParameterError
-from dyninv import problems
+from dyninv import priorcov as pc, problems
 from dyninv.linop import KroneckerOperator, SparseOperator
 
 
@@ -236,3 +236,41 @@ def test_ray_instances_are_pinned(make, d_sha, Ax_sha, Aty_sha):
     assert _sha256(inst.d) == d_sha
     assert _sha256(inst.A.apply(x)) == Ax_sha
     assert _sha256(inst.A.apply_adjoint(y)) == Aty_sha
+
+
+def test_kronecker_instance_and_prior_are_pinned():
+    # digests of the deblur forward model's actions and of a nested
+    # minij (x) Matern (x) Matern prior's apply, solve and diagonal, on a
+    # vector and on a three-column block: a change to how a Kronecker product
+    # is traversed must leave every byte of these as it was
+    inst = problems.gen_dynamic_deblur(6, 5, 4, seed=3)
+    Qx = pc.build_kernel_matrix(pc.MaternKernel(1.5, 0.1),
+                                pc.PointSet.from_coords((np.arange(6) + 0.5) / 6))
+    Qy = pc.build_kernel_matrix(pc.MaternKernel(2.5, 0.2),
+                                pc.PointSet.from_coords((np.arange(5) + 0.5) / 5))
+    Qt, _ = pc.build_minij_prior(4)
+    Q = KroneckerOperator(Qt, KroneckerOperator(Qx, Qy))
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(inst.A.cols)
+    y = rng.standard_normal(inst.A.rows)
+    X = rng.standard_normal((inst.A.cols, 3))
+    digests = {
+        "d": _sha256(inst.d),
+        "A x": _sha256(inst.A.apply(x)),
+        "A' y": _sha256(inst.A.apply_adjoint(y)),
+        "A X": _sha256(inst.A.apply_mat(X)),
+        "Q x": _sha256(Q.apply(x)),
+        "Q X": _sha256(Q.apply_mat(X)),
+        "Q \\ x": _sha256(Q.solve(x)),
+        "diag Q": _sha256(Q.diagonal()),
+    }
+    assert digests == {
+        "d": "d0099d3b5b3696d79699b6431a18605fa67cc4b5921de7a0e950ed26564f87f7",
+        "A x": "50ba8b0910653206cbadf50e8d4dd69453868110d830499b6fa25912cfd6d38a",
+        "A' y": "efe14a8629a62f663fc073eafccdcee9b2437a29e0eaea39de147414ba4a4dfe",
+        "A X": "843e2a62cf223c504eae3ce773ff0a36c70c89ee1fe027cde778a2d8e4b2536c",
+        "Q x": "5cc8ced645adea66e2a0d3729b6ef5307fab3a9de3e62dbec74e3bd7a25d6d8c",
+        "Q X": "f53dd6054d8629e042c819d84f847e21e65c8e66ae24856434eb918dbb5d1c56",
+        "Q \\ x": "a691be7a209ab9f4aa4422db0ba8073a51f061a0ab03208297646c6da74b8bbb",
+        "diag Q": "482a79dd24acf11a8b70b11fe0d0552284eeca605551968e81ab9dff666ec7f1",
+    }
