@@ -369,8 +369,7 @@ def _write_variance(outdir, inst, prior, lam, field, rank) -> dict:
     dio.write_matrix_bin(os.path.join(outdir, "variance.bin"), field)
     entries = {"variance_lambda": lam, "variance_rank": rank}
     if inst.n_s * inst.n_t <= 512 and inst.d.size <= 512:
-        p = oracle.DenseProblem(inst.A.to_dense(), inst.R.to_dense(),
-                                prior.Q.to_dense(), inst.d, prior.mean, lam)
+        p = oracle.DenseProblem(inst.A, inst.R, prior.Q, inst.d, prior.mean, lam)
         dev = np.abs(field.ravel(order="F") - np.diag(oracle.dense_posterior(p)))
         entries["oracle_max_dev"] = float(dev.max())
     return entries
@@ -389,8 +388,7 @@ def _write_decoupled_logs(outdir, dres):
 def cmd_oracle(cfg: RunConfig, outdir: str) -> None:
     inst = load_problem(cfg)
     prior = build_prior(cfg, inst)
-    p = oracle.DenseProblem(inst.A.to_dense(), inst.R.to_dense(),
-                            prior.Q.to_dense(), inst.d, prior.mean,
+    p = oracle.DenseProblem(inst.A, inst.R, prior.Q, inst.d, prior.mean,
                             **cfg.kwargs("solver", "lambda"))
     s1 = oracle.map_normal_equations(p)
     s2 = oracle.map_general_tikhonov(p)

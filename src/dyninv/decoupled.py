@@ -92,15 +92,13 @@ class DecoupledResult:
 def kronecker_factors(inst, prior: PriorModel):
     """Split a problem instance and its prior into the factors
     (A_t, A_s, R_t, R_s, Q_t, Q_s) of the decoupled solver: the ``left`` and
-    ``right`` of the Kronecker A and Q, and R_t = I, R_s = sigma^2 I of a
-    ``ScaledIdentityOperator`` R; anything else raises ``ParameterError``.
+    ``right`` of the Kronecker A and Q, and R_t = I, R_s = sigma^2 I of the
+    instance's white-noise R; a non-Kronecker A or Q raises ``ParameterError``.
     """
     A, Q = inst.A, prior.Q
     for op, what in ((A, "forward operator"), (Q, "prior covariance")):
         if not isinstance(op, KroneckerOperator):
             raise ParameterError(f"decoupled solver requires a Kronecker {what}")
-    if not isinstance(inst.R, ScaledIdentityOperator):
-        raise ParameterError("decoupled solver requires scaled-identity noise")
     Rs = ScaledIdentityOperator(inst.R.scale, A.right.rows)
     return A.left, A.right, np.eye(inst.n_t), Rs, Q.left, Q.right
 

@@ -9,11 +9,17 @@ time step, and are held as one sparse matrix.
 Images of shape (nx, ny) are vectorized column-wise with the y index varying
 fastest: pixel (ix, iy) maps to ix * ny + iy.  Instances are reproducible
 bitwise from their seed.
+
+Every generator observes its grid through white noise: an instance derives
+``R = sigma^2 I`` (a unit placeholder when sigma is 0) and ``n_s`` from its
+noise level and grid.  A saved instance is a directory of one file table.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -28,13 +34,11 @@ from .linop import (DenseOperator, KroneckerOperator, LinearOperator,
 
 @dataclass
 class ProblemInstance:
-    """Forward model, noise covariance, data, and (optionally) the truth."""
+    """Forward model, data, noise level, and (optionally) the truth."""
 
     A: LinearOperator
-    R: LinearOperator
     d: np.ndarray
     s_true: np.ndarray | None
-    n_s: int
     n_t: int
     grid: tuple
     seed: int
@@ -42,13 +46,21 @@ class ProblemInstance:
     noise_sigma: float
     meta: dict = field(default_factory=dict)
 
+    @property
+    def n_s(self) -> int:
+        return self.grid[0] * self.grid[1]
+
+    @functools.cached_property
+    def R(self) -> ScaledIdentityOperator:
+        """White-noise covariance sigma^2 I; noiseless data keeps a unit
+        covariance as a placeholder weight."""
+        scale = self.noise_sigma ** 2
+        return ScaledIdentityOperator(scale if scale > 0 else 1.0, self.d.size)
+
 
 def _noisy_data(clean: np.ndarray, noise_level: float, seed: int):
-    """Data ``d``, noise covariance ``R`` and noise sigma for relative noise.
-
-    The i.i.d. Gaussian noise is scaled so that ||eps|| = noise_level *
-    ||clean|| in expectation.  Noiseless data keeps a unit noise covariance
-    as a placeholder weight.
+    """Data ``d`` and noise sigma for relative noise: the i.i.d. Gaussian
+    noise is scaled so that ||eps|| = noise_level * ||clean|| in expectation.
     """
     rng = np.random.default_rng(seed)
     if noise_level > 0:
@@ -57,8 +69,16 @@ def _noisy_data(clean: np.ndarray, noise_level: float, seed: int):
     else:
         sigma = 0.0
         d = clean.copy()
-    R = ScaledIdentityOperator(sigma ** 2 if sigma > 0 else 1.0, clean.size)
-    return d, R, sigma
+    return d, sigma
+
+
+def _frames(nx: int, ny: int, n_t: int, frame) -> np.ndarray:
+    """Space-fastest stack of the images ``frame(X, Y, t)``, t < n_t, over
+    the pixel centres X, Y of the unit square."""
+    xs = (np.arange(nx) + 0.5) / nx
+    ys = (np.arange(ny) + 0.5) / ny
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.concatenate([frame(X, Y, t).ravel() for t in range(n_t)])
 
 
 # ----------------------------------------------------------------------
@@ -89,19 +109,12 @@ def gaussian_blur_1d(n: int, sigma: float, bandwidth: int,
 
 def _moving_feature_truth(nx: int, ny: int, n_t: int) -> np.ndarray:
     """Image sequence: a Gaussian blob drifting diagonally plus a static box."""
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    frames = np.empty((nx * ny, n_t))
-    for t in range(n_t):
-        frac = 0.5 if n_t == 1 else t / (n_t - 1)
-        cx = 0.25 + 0.5 * frac
-        cy = 0.25 + 0.5 * frac
-        blob = np.exp(-(((X - cx) ** 2 + (Y - cy) ** 2) / (2 * 0.05 ** 2)))
+    def frame(X, Y, t):
+        c = 0.25 + 0.5 * (0.5 if n_t == 1 else t / (n_t - 1))
+        blob = np.exp(-(((X - c) ** 2 + (Y - c) ** 2) / (2 * 0.05 ** 2)))
         box = ((np.abs(X - 0.7) < 0.12) & (np.abs(Y - 0.3) < 0.12)).astype(float)
-        img = blob + 0.8 * box
-        frames[:, t] = img.reshape(-1, order="C")  # (ix, iy) -> ix*ny + iy
-    return frames.reshape(-1, order="F")
+        return blob + 0.8 * box
+    return _frames(nx, ny, n_t, frame)
 
 
 def gen_dynamic_deblur(nx: int, ny: int, n_t: int, spatial_sigma: float = 0.07,
@@ -121,11 +134,9 @@ def gen_dynamic_deblur(nx: int, ny: int, n_t: int, spatial_sigma: float = 0.07,
     A = KroneckerOperator(DenseOperator(At), DenseOperator(Tx), DenseOperator(Ty))
 
     s_true = _moving_feature_truth(nx, ny, n_t)
-    d, R, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
-    return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
-                           grid=(nx, ny), seed=seed, kind="deblur",
-                           noise_sigma=sigma_noise,
-                           meta={"noise_level": noise_level})
+    d, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
+    return ProblemInstance(A=A, d=d, s_true=s_true, n_t=n_t, grid=(nx, ny),
+                           seed=seed, kind="deblur", noise_sigma=sigma_noise)
 
 
 # ----------------------------------------------------------------------
@@ -172,23 +183,33 @@ def _random_boundary_point(rng, nx, ny):
     return np.array([float(nx), u * ny])
 
 
+def _ray_matrix(rays, n_pixels: int) -> sp.csr_matrix:
+    """CSR matrix of one row per ray's (pixel indices, lengths), ``indptr``
+    from the row counts; duplicates are summed as the COO route sums them."""
+    indptr = np.zeros(len(rays) + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx, _ in rays], out=indptr[1:])
+    indices = np.concatenate([idx for idx, _ in rays])
+    lengths = np.concatenate([lens for _, lens in rays])
+    M = sp.csr_matrix((lengths, indices, indptr), shape=(len(rays), n_pixels))
+    M.sum_duplicates()
+    return M
+
+
 def random_ray_matrix(nx: int, ny: int, n_rays: int, rng) -> sp.csr_matrix:
     """Sparse matrix of random straight rays with boundary endpoints."""
-    rows, cols, vals = [], [], []
-    for r in range(n_rays):
+    rays = []
+    for _ in range(n_rays):
         for attempt in range(100):
             p0 = _random_boundary_point(rng, nx, ny)
             p1 = _random_boundary_point(rng, nx, ny)
-            idx, lens = ray_pixel_lengths(nx, ny, p0, p1)
-            if lens.size:
+            ray = ray_pixel_lengths(nx, ny, p0, p1)
+            if ray[1].size:
                 break
         else:
             raise ParameterError("failed to sample a nonzero-length ray "
                                  "after 100 attempts")
-        rows.extend([r] * idx.size)
-        cols.extend(idx.tolist())
-        vals.extend(lens.tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rays, nx * ny))
+        rays.append(ray)
+    return _ray_matrix(rays, nx * ny)
 
 
 def checkerboard_truth(nx: int, ny: int, n_t: int, base_value: float = 5e-5,
@@ -209,7 +230,6 @@ def checkerboard_truth(nx: int, ny: int, n_t: int, base_value: float = 5e-5,
 
 def gen_ray_tomography(nx: int, ny: int, n_t: int, rays_per_time=200,
                        noise_sigma: float = 0.0015, seed: int = 0,
-                       base_value: float = 5e-5, cell: int = 8,
                        coverage_threshold: int = 1) -> ProblemInstance:
     """Straight-ray dynamic tomography with a block-diagonal forward model.
 
@@ -228,16 +248,13 @@ def gen_ray_tomography(nx: int, ny: int, n_t: int, rays_per_time=200,
         coverage += np.asarray((blk != 0).sum(axis=0)).ravel()
     mask = coverage >= coverage_threshold
 
-    s_true = checkerboard_truth(nx, ny, n_t, base_value, cell, mask)
+    s_true = checkerboard_truth(nx, ny, n_t, mask=mask)
     A = SparseOperator(sp.block_diag(blocks, format="csr"))
     clean = A.apply(s_true)
     d = clean + noise_sigma * rng.standard_normal(clean.size)
-    R = ScaledIdentityOperator(noise_sigma ** 2, clean.size)
-    return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
-                           grid=(nx, ny), seed=seed, kind="tomography",
-                           noise_sigma=noise_sigma,
-                           meta={"mask": mask, "rays_per_time": list(rays_per_time),
-                                 "coverage": coverage})
+    return ProblemInstance(A=A, d=d, s_true=s_true, n_t=n_t, grid=(nx, ny),
+                           seed=seed, kind="tomography", noise_sigma=noise_sigma,
+                           meta={"mask": mask})
 
 
 # ----------------------------------------------------------------------
@@ -257,16 +274,11 @@ def projection_matrix(nx: int, ny: int, angle: float, n_bins: int) -> sp.csr_mat
     center = np.array([nx / 2.0, ny / 2.0])
     half_diag = 0.5 * np.hypot(nx, ny)
     offsets = np.linspace(-half_diag, half_diag, n_bins + 2)[1:-1]
-    rows, cols, vals = [], [], []
     reach = 2.0 * half_diag
-    for r, off in enumerate(offsets):
-        p0 = center + off * perp - reach * direction
-        p1 = center + off * perp + reach * direction
-        idx, lens = ray_pixel_lengths(nx, ny, p0, p1)
-        rows.extend([r] * idx.size)
-        cols.extend(idx.tolist())
-        vals.extend(lens.tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_bins, nx * ny))
+    return _ray_matrix([ray_pixel_lengths(nx, ny,
+                                          center + off * perp - reach * direction,
+                                          center + off * perp + reach * direction)
+                        for off in offsets], nx * ny)
 
 
 def rotating_gaussians_truth(nx: int, ny: int, n_t: int, width: float = 0.08,
@@ -278,19 +290,15 @@ def rotating_gaussians_truth(nx: int, ny: int, n_t: int, width: float = 0.08,
     of one revolution, frame n_t+1 would equal frame 1.  Fractional values give
     slower motion, i.e. an object changing slowly relative to the frame rate.
     """
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    frames = np.empty((nx * ny, n_t))
-    for t in range(n_t):
+    def frame(X, Y, t):
         phi = 2.0 * np.pi * revolutions * t / n_t
         img = np.zeros((nx, ny))
         for extra in (0.0, np.pi):
             cx = 0.5 + orbit_radius * np.cos(phi + extra)
             cy = 0.5 + orbit_radius * np.sin(phi + extra)
             img += np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * width ** 2))
-        frames[:, t] = img.reshape(-1, order="C")
-    return frames.reshape(-1, order="F")
+        return img
+    return _frames(nx, ny, n_t, frame)
 
 
 def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
@@ -320,55 +328,58 @@ def gen_rotating_gaussians(nx: int, ny: int, n_t: int, angles=None,
     s_true = rotating_gaussians_truth(nx, ny, n_t, width=width,
                                       orbit_radius=orbit_radius,
                                       revolutions=revolutions)
-    d, R, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
-    return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
-                           grid=(nx, ny), seed=seed, kind="rotating",
-                           noise_sigma=sigma_noise,
-                           meta={"angles": angles, "radii_count": radii_count,
-                                 "noise_level": noise_level})
+    d, sigma_noise = _noisy_data(A.apply(s_true), noise_level, seed)
+    return ProblemInstance(A=A, d=d, s_true=s_true, n_t=n_t, grid=(nx, ny),
+                           seed=seed, kind="rotating", noise_sigma=sigma_noise,
+                           meta={"radii_count": radii_count})
 
 
 # ----------------------------------------------------------------------
 # Instance serialization
 # ----------------------------------------------------------------------
 
-# the files of a deblur forward model's factors A_t, T_x, T_y, slowest first
-_KRON_FILES = ("A_t.bin", "A_s_x.bin", "A_s_y.bin")
+# The file table of a saved instance, besides its manifest: the data, the
+# truth and the observable mask (each present if and only if the instance has
+# that array), and the forward model in the files of its structure, the
+# Kronecker factors A_t, T_x, T_y of a deblur instance (slowest first) or one
+# sparse matrix.
+_OPTIONAL_FILES = ("s_true.bin", "mask.bin")
+_MODEL_FILES = {"kron": ("A_t.bin", "A_s_x.bin", "A_s_y.bin"), "sparse": ("A.npz",)}
+_FILES = ("d.bin", *_OPTIONAL_FILES, *_MODEL_FILES["kron"], *_MODEL_FILES["sparse"])
 
 
 def save_instance(inst: ProblemInstance, directory) -> None:
-    """Serialize an instance to a directory: manifest + operator pieces + arrays.
-
-    Kronecker factors and vectors use the ``DYNINV1`` binary format; a sparse
-    forward matrix is one uncompressed ``A.npz``.
+    """Serialize an instance to a directory: its manifest and the files of the
+    table it fills, in the ``DYNINV1`` binary format or, for a sparse forward
+    matrix, one uncompressed ``A.npz``.  Every other file of the table is
+    removed, so none of an instance saved there before outlives it.
     """
     os.makedirs(directory, exist_ok=True)
+    structure = "kron" if inst.kind == "deblur" else "sparse"
+    model = ([f.entries for f in inst.A.factors] if structure == "kron"
+             else [inst.A.matrix])
+    arrays = dict(zip(("d.bin", *_OPTIONAL_FILES, *_MODEL_FILES[structure]),
+                      (inst.d, inst.s_true, inst.meta.get("mask"), *model)))
+    for name in _FILES:
+        path = os.path.join(directory, name)
+        array = arrays.get(name)
+        if array is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        elif sp.issparse(array):
+            sp.save_npz(path, array, compressed=False)
+        else:
+            dio.write_matrix_bin(path, array)
     cfg = configparser.ConfigParser()
     cfg["instance"] = {
         "kind": inst.kind,
         "nx": str(inst.grid[0]),
         "ny": str(inst.grid[1]),
         "n_t": str(inst.n_t),
-        "n_s": str(inst.n_s),
         "seed": str(inst.seed),
         "noise_sigma": repr(float(inst.noise_sigma)),
-        "has_truth": str(inst.s_true is not None),
+        "structure": structure,
     }
-    dio.write_vector_bin(os.path.join(directory, "d.bin"), inst.d)
-    if inst.s_true is not None:
-        dio.write_vector_bin(os.path.join(directory, "s_true.bin"), inst.s_true)
-
-    if inst.kind == "deblur":
-        cfg["instance"]["structure"] = "kron"
-        for name, factor in zip(_KRON_FILES, inst.A.factors):
-            dio.write_matrix_bin(os.path.join(directory, name), factor.entries)
-    else:
-        cfg["instance"]["structure"] = "sparse"
-        sp.save_npz(os.path.join(directory, "A.npz"), inst.A.matrix,
-                    compressed=False)
-    if "mask" in inst.meta:
-        dio.write_vector_bin(os.path.join(directory, "mask.bin"),
-                             inst.meta["mask"].astype(float))
     with open(os.path.join(directory, "manifest.ini"), "w") as fh:
         cfg.write(fh)
 
@@ -384,30 +395,21 @@ def load_instance(directory) -> ProblemInstance:
     if not cfg.read(manifest):
         raise ParameterError(f"missing or unreadable manifest {manifest}")
     sec = cfg["instance"]
-    kind = sec["kind"]
-    nx, ny, n_t = int(sec["nx"]), int(sec["ny"]), int(sec["n_t"])
-    noise_sigma = float(sec["noise_sigma"])
-    d = dio.read_vector_bin(os.path.join(directory, "d.bin"))
-    s_true = None
-    if sec.getboolean("has_truth"):
-        s_true = dio.read_vector_bin(os.path.join(directory, "s_true.bin"))
-
-    meta = {}
     structure = sec.get("structure")
-    if structure == "kron":
-        A = KroneckerOperator(*(
-            DenseOperator(dio.read_matrix_bin(os.path.join(directory, name)))
-            for name in _KRON_FILES))
-    elif structure == "sparse":
-        A = SparseOperator(sp.load_npz(os.path.join(directory, "A.npz")))
-    else:
+    if structure not in _MODEL_FILES:
         raise ParameterError(f"{manifest}: unknown forward-model structure "
                              f"{structure!r}; regenerate the instance")
-    mask_path = os.path.join(directory, "mask.bin")
-    if os.path.exists(mask_path):
-        meta["mask"] = dio.read_vector_bin(mask_path) > 0.5
-
-    R = ScaledIdentityOperator(noise_sigma ** 2 if noise_sigma > 0 else 1.0, d.size)
-    return ProblemInstance(A=A, R=R, d=d, s_true=s_true, n_s=nx * ny, n_t=n_t,
-                           grid=(nx, ny), seed=int(sec["seed"]), kind=kind,
-                           noise_sigma=noise_sigma, meta=meta)
+    paths = {name: os.path.join(directory, name) for name in _FILES}
+    d = dio.read_vector_bin(paths["d.bin"])
+    s_true, mask = (dio.read_vector_bin(paths[name]) if os.path.exists(paths[name])
+                    else None for name in _OPTIONAL_FILES)
+    model = [paths[name] for name in _MODEL_FILES[structure]]
+    if structure == "kron":
+        A = KroneckerOperator(*(DenseOperator(dio.read_matrix_bin(p)) for p in model))
+    else:
+        A = SparseOperator(sp.load_npz(model[0]))
+    return ProblemInstance(A=A, d=d, s_true=s_true, n_t=int(sec["n_t"]),
+                           grid=(int(sec["nx"]), int(sec["ny"])),
+                           seed=int(sec["seed"]), kind=sec["kind"],
+                           noise_sigma=float(sec["noise_sigma"]),
+                           meta={} if mask is None else {"mask": mask > 0.5})

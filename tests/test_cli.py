@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import hashlib
 import os
 
@@ -8,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from dyninv import cli, decoupled, hybrid, io as dio, oracle, uq
-from dyninv.linop import DenseOperator
 
 
 def write_config(path, sections):
@@ -127,22 +125,6 @@ def test_decoupled_requires_kronecker_prior(tmp_path, deblur_config, capsys):
                      "--solver.method=decoupled", "--prior.structure=nonseparable",
                      f"--output.dir={tmp_path / 'dec'}"]) == 2
     assert "Kronecker prior covariance" in capsys.readouterr().err
-
-
-def test_decoupled_requires_scaled_identity_noise(tmp_path, deblur_config, capsys,
-                                                  monkeypatch):
-    # no generator makes any other R, so hand the solve a dense copy of it
-    load = cli.load_problem
-
-    def dense_noise(cfg):
-        inst = load(cfg)
-        return dataclasses.replace(inst, R=DenseOperator(inst.R.to_dense()))
-
-    monkeypatch.setattr(cli, "load_problem", dense_noise)
-    assert cli.main(["solve", "--config", deblur_config,
-                     "--solver.method=decoupled",
-                     f"--output.dir={tmp_path / 'dec'}"]) == 2
-    assert "scaled-identity noise" in capsys.readouterr().err
 
 
 def test_solve_from_saved_tomography_matches_generator(tmp_path):

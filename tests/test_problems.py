@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from dyninv.errors import ParameterError
 from dyninv import priorcov as pc, problems
-from dyninv.linop import KroneckerOperator, SparseOperator
+from dyninv.linop import KroneckerOperator, ScaledIdentityOperator, SparseOperator
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +95,24 @@ def test_ray_row_sums_equal_chord_length(rng):
             continue
         assert np.all(lens > 0)
         npt.assert_allclose(lens.sum(), np.hypot(*(p1 - p0)), rtol=1e-10)
+
+
+def test_ray_matrix_matches_the_coo_route():
+    # rows from counts, duplicates summed: the same arrays, dtypes and
+    # canonical flag as scipy's COO conversion of the same triplets
+    rays = [(np.array([5, 2, 5, 0]), np.array([0.5, 1.0, 0.25, 2.0])),
+            (np.array([], dtype=int), np.array([])),
+            (np.array([7, 3]), np.array([1.5, 0.75]))]
+    got = problems._ray_matrix(rays, 8)
+    rows = np.repeat(np.arange(len(rays)), [idx.size for idx, _ in rays])
+    want = sp.csr_matrix((np.concatenate([lens for _, lens in rays]),
+                          (rows, np.concatenate([idx for idx, _ in rays]))),
+                         shape=(3, 8))
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.has_canonical_format and want.has_canonical_format
+    npt.assert_array_equal(got.toarray()[0], [2.0, 0, 1.0, 0, 0, 0.75, 0, 0])
 
 
 def test_checkerboard_values():
@@ -200,6 +219,51 @@ def test_save_load_rotating_roundtrip(tmp_path):
     assert back.s_true.tobytes() == inst.s_true.tobytes()
     x = np.random.default_rng(0).standard_normal(inst.A.cols)
     assert back.A.apply(x).tobytes() == inst.A.apply(x).tobytes()
+
+
+def test_noiseless_tomography_has_unit_placeholder_noise(tmp_path):
+    # every generator derives R = sigma^2 I the same way, so noiseless
+    # tomography gets the unit placeholder instead of a zero covariance
+    inst = problems.gen_ray_tomography(8, 8, 2, rays_per_time=10, noise_sigma=0.0,
+                                       seed=1)
+    assert inst.noise_sigma == 0.0 and inst.n_s == 64
+    assert isinstance(inst.R, ScaledIdentityOperator)
+    assert inst.R.scale == 1.0 and inst.R.shape == (20, 20)
+    assert inst.R is inst.R
+    problems.save_instance(inst, tmp_path / "inst")
+    back = problems.load_instance(tmp_path / "inst")
+    assert back.noise_sigma == 0.0 and back.R.scale == 1.0
+    assert back.d.tobytes() == inst.d.tobytes()
+
+
+def test_save_removes_files_of_an_earlier_instance(tmp_path):
+    # an optional array is present if and only if its file is, so saving
+    # over another instance must leave none of that instance's files
+    directory = tmp_path / "inst"
+    tomo = problems.gen_ray_tomography(6, 6, 3, rays_per_time=2, seed=1)
+    deblur = problems.gen_dynamic_deblur(6, 6, 3, seed=2)
+    problems.save_instance(tomo, directory)
+    problems.save_instance(deblur, directory)
+    back = problems.load_instance(directory)
+    assert "mask" not in back.meta
+    assert not (directory / "mask.bin").exists()
+    assert not (directory / "A.npz").exists()
+    assert back.d.tobytes() == deblur.d.tobytes()
+
+    problems.save_instance(tomo, directory)
+    assert not any((directory / name).exists()
+                   for name in ("A_t.bin", "A_s_x.bin", "A_s_y.bin"))
+    back = problems.load_instance(directory)
+    npt.assert_array_equal(back.meta["mask"], tomo.meta["mask"])
+
+
+def test_save_without_truth_removes_it(tmp_path):
+    inst = problems.gen_dynamic_deblur(6, 5, 2, seed=4)
+    problems.save_instance(inst, tmp_path / "inst")
+    inst.s_true = None
+    problems.save_instance(inst, tmp_path / "inst")
+    assert not (tmp_path / "inst" / "s_true.bin").exists()
+    assert problems.load_instance(tmp_path / "inst").s_true is None
 
 
 def test_load_rejects_unknown_structure(tmp_path):
