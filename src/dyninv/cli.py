@@ -31,7 +31,7 @@ import numpy as np
 from . import decoupled, hybrid, io as dio, oracle, priorcov, problems, uq
 from .errors import (BudgetExceededError, ConditioningError, DegenerateInputError,
                      ParameterError, ShapeError)
-from .linop import DenseOperator, KroneckerOperator, identity
+from .linop import DenseOperator, KroneckerOperator, ScaledIdentityOperator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -217,7 +217,7 @@ def build_prior(cfg: RunConfig, inst: problems.ProblemInstance) -> priorcov.Prio
         raise ParameterError(f"unknown prior structure {structure!r}")
 
     if kern is None:
-        Qs = identity(n_s)
+        Qs = ScaledIdentityOperator(1.0, n_s)
     else:
         Qs = priorcov.build_kernel_matrix(kern, grid, **nugget)
     variant = cfg.get("prior", "temporal")

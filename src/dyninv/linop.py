@@ -237,10 +237,6 @@ class ScaledIdentityOperator(DiagonalOperator):
         self.scale = float(scale)
 
 
-def identity(n: int) -> ScaledIdentityOperator:
-    return ScaledIdentityOperator(1.0, n)
-
-
 class KroneckerOperator(LinearOperator):
     """Kronecker product ``factors[0] (x) factors[1] (x) ...``, slowest first.
 

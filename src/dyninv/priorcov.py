@@ -5,6 +5,10 @@ stationary kernel, called on distances, evaluated between the points of a
 ``PointSet``.  Spatial and temporal covariances use spatial or time points;
 the nonseparable space-time covariance uses ``PointSet.space_time``, whose
 weighted coordinates make the Euclidean distance the combined one.  The
+distances are formed in numpy, bit for bit as ``scipy.spatial.distance.cdist``
+forms them.  ``scipy.special`` is imported only when a Matern kernel takes
+its modified-Bessel branch (a smoothness below ``GAUSSIAN_LIMIT_NU`` that is
+not a half-integer), so ``import dyninv`` loads neither module.  The
 structured temporal models (random-walk "minij" covariance and
 finite-difference smoothness prior) are built directly.
 """
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.special as special
-from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
 from .linop import DenseOperator, LinearOperator
@@ -63,6 +65,8 @@ class MaternKernel:
                 p = int(round(nu - 0.5))
                 out = _matern_half_integer(p, z)
             else:
+                # imported here, its only use, so `import dyninv` does not load it
+                import scipy.special as special
                 out = np.ones_like(z)
                 pos = z > 0
                 zp = z[pos]
@@ -168,8 +172,17 @@ def build_kernel_matrix(kernel, points: PointSet, nugget: float = DEFAULT_NUGGET
     """Dense SPD kernel matrix K_ij = kernel(||p_i - p_j||) + nugget on the diagonal."""
     if nugget < 0:
         raise ParameterError("nugget must be nonnegative")
-    P = points.coordinates
-    D = cdist(P, P)
+    n = len(points)
+    # sum the squared coordinate differences in coordinate order, as
+    # scipy.spatial.distance.cdist does, so the distances keep its bits
+    D = np.zeros((n, n))
+    sq = np.empty((n, n))
+    for x in points.coordinates.T:
+        np.subtract.outer(x, x, out=sq)
+        sq *= sq
+        D += sq
+    del sq  # freed before the kernel makes its own n x n temporaries
+    np.sqrt(D, out=D)
     M = kernel(D.ravel()).reshape(D.shape)
     M = 0.5 * (M + M.T)
     M[np.diag_indices_from(M)] += nugget

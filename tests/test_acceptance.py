@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from dyninv import decoupled, gengk, hybrid, oracle, problems, uq
 from dyninv import priorcov as pc
 from dyninv.linop import (DenseOperator, KroneckerOperator, ScaledIdentityOperator,
-                          SparseOperator, identity)
+                          SparseOperator)
 
 from conftest import random_problem, random_spd, run_gengk, tikhonov
 
@@ -336,7 +336,7 @@ def test_acceptance_temporal_prior_ordering():
     err_temporal = _best_lambda_error(
         inst.A, inst.R, KroneckerOperator(Qt, Qs), inst.d, inst.s_true, k=100)
     err_identity = _best_lambda_error(
-        inst.A, inst.R, KroneckerOperator(identity(n_t), Qs), inst.d,
+        inst.A, inst.R, KroneckerOperator(ScaledIdentityOperator(1.0, n_t), Qs), inst.d,
         inst.s_true, k=100)
     # the per-time blocks stacked vertically act on one static frame; sorted
     # indices give the same CSR, bit for bit, as stacking the blocks

@@ -6,7 +6,7 @@ import pytest
 
 from dyninv.errors import ConditioningError, ParameterError, ShapeError
 from dyninv import decoupled, hybrid, oracle, problems, uq
-from dyninv.linop import DenseOperator, KroneckerOperator, identity
+from dyninv.linop import DenseOperator, KroneckerOperator, ScaledIdentityOperator
 from dyninv.priorcov import PriorModel
 
 from conftest import fresh_projections, random_spd
@@ -37,8 +37,8 @@ def test_kronecker_factors_rebuild_the_operators(rng):
 
 
 def test_plan_identity_factors(rng):
-    plan = decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
-                                np.eye(2), identity(3), np.zeros(6))
+    I3 = ScaledIdentityOperator(1.0, 3)
+    plan = decoupled.build_plan(np.eye(2), I3, np.eye(2), I3, np.eye(2), I3, np.zeros(6))
     npt.assert_allclose(plan.sigmas, [1.0, 1.0])
     npt.assert_allclose(np.abs(plan.Ut), np.eye(2), atol=1e-14)
     npt.assert_allclose(np.abs(plan.T), np.eye(2), atol=1e-14)
@@ -52,41 +52,41 @@ def test_plan_identity_factors(rng):
 def test_plan_rejects_a_factor_that_is_not_spd(name):
     spd = {"Q_t": np.eye(2), "R_t": np.eye(2)}
     spd[name] = np.diag([1.0, -1.0])
+    I2 = ScaledIdentityOperator(1.0, 2)
     with pytest.raises(ConditioningError, match=f"^{name} is not positive definite"):
-        decoupled.build_plan(np.eye(2), identity(2), spd["R_t"], identity(2),
-                             spd["Q_t"], identity(2), np.zeros(4))
+        decoupled.build_plan(np.eye(2), I2, spd["R_t"], I2, spd["Q_t"], I2, np.zeros(4))
 
 
 def test_plan_zero_sigma_detection():
-    plan = decoupled.build_plan(np.diag([2.0, 0.0]), identity(2), np.eye(2),
-                                identity(2), np.eye(2), identity(2), np.zeros(4))
+    I2 = ScaledIdentityOperator(1.0, 2)
+    plan = decoupled.build_plan(np.diag([2.0, 0.0]), I2, np.eye(2), I2, np.eye(2), I2,
+                                np.zeros(4))
     npt.assert_allclose(plan.sigmas, [2.0, 0.0])
     assert not plan.sigma_zero(0)
     assert plan.sigma_zero(1)
 
 
 def test_subproblem_zero_sigma_skipped():
-    plan = decoupled.build_plan(np.diag([2.0, 0.0]), identity(2), np.eye(2),
-                                identity(2), np.eye(2), identity(2),
+    I2 = ScaledIdentityOperator(1.0, 2)
+    plan = decoupled.build_plan(np.diag([2.0, 0.0]), I2, np.eye(2), I2, np.eye(2), I2,
                                 np.ones(4))
     assert decoupled.solve_subproblem(plan, 1, hybrid.Fixed(1.0)) is None
-    res = decoupled.decoupled_solve(np.diag([2.0, 0.0]), identity(2), np.eye(2),
-                                    identity(2), np.eye(2), identity(2),
+    res = decoupled.decoupled_solve(np.diag([2.0, 0.0]), I2, np.eye(2), I2, np.eye(2), I2,
                                     np.ones(4), hybrid.Fixed(1.0))
     npt.assert_array_equal(res.S[:, 1], np.zeros(2))
 
 
 def test_single_time_identity_tikhonov():
     d = np.array([3.0, -1.0, 2.0])
-    res = decoupled.decoupled_solve(np.eye(1), identity(3), np.eye(1),
-                                    identity(3), np.eye(1), identity(3), d,
+    I3 = ScaledIdentityOperator(1.0, 3)
+    res = decoupled.decoupled_solve(np.eye(1), I3, np.eye(1), I3, np.eye(1), I3, d,
                                     hybrid.Fixed(1.0))
     npt.assert_allclose(res.s, d / 2.0, rtol=1e-12)
 
 
 def test_recombine_identities(rng):
-    plan = decoupled.build_plan(np.eye(3), identity(4), np.eye(3), identity(4),
-                                np.eye(3), identity(4), np.zeros(12))
+    I4 = ScaledIdentityOperator(1.0, 4)
+    plan = decoupled.build_plan(np.eye(3), I4, np.eye(3), I4, np.eye(3), I4, np.zeros(12))
     Z = rng.standard_normal((4, 3))
     # recombine undoes the (identity) transforms up to the SVD's sign freedom
     S = decoupled.recombine(plan, Z @ plan.T.T)
@@ -225,18 +225,15 @@ def test_optimal_strategy_is_rejected(rng):
 
 
 def test_shape_validation(rng):
+    I3, I4 = ScaledIdentityOperator(1.0, 3), ScaledIdentityOperator(1.0, 4)
     with pytest.raises(ShapeError):
-        decoupled.build_plan(np.eye(3), identity(4), np.eye(2), identity(4),
-                             np.eye(3), identity(4), np.zeros(12))
+        decoupled.build_plan(np.eye(3), I4, np.eye(2), I4, np.eye(3), I4, np.zeros(12))
     # a non-square Q_t or R_t is a shape error, not numpy's broadcast error
     with pytest.raises(ShapeError):
-        decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
-                             np.ones((2, 3)), identity(3), np.zeros(6))
+        decoupled.build_plan(np.eye(2), I3, np.eye(2), I3, np.ones((2, 3)), I3, np.zeros(6))
     with pytest.raises(ShapeError):
-        decoupled.build_plan(np.eye(2), identity(3), np.ones((2, 3)), identity(3),
-                             np.eye(2), identity(3), np.zeros(6))
-    plan = decoupled.build_plan(np.eye(2), identity(3), np.eye(2), identity(3),
-                                np.eye(2), identity(3), np.zeros(6))
+        decoupled.build_plan(np.eye(2), I3, np.ones((2, 3)), I3, np.eye(2), I3, np.zeros(6))
+    plan = decoupled.build_plan(np.eye(2), I3, np.eye(2), I3, np.eye(2), I3, np.zeros(6))
     with pytest.raises(ShapeError):
         decoupled.recombine(plan, np.zeros((4, 2)))
     with pytest.raises(ParameterError):

@@ -6,7 +6,7 @@ import pytest
 
 from dyninv.errors import DegenerateInputError
 from dyninv import gengk
-from dyninv.linop import DenseOperator, ScaledIdentityOperator, identity
+from dyninv.linop import DenseOperator, ScaledIdentityOperator
 
 from conftest import random_orthogonal, random_problem, random_spd, run_gengk
 
@@ -16,8 +16,8 @@ def wrap(A, R, Q):
 
 
 def test_init_identity_operators():
-    A = identity(2)
-    fact = gengk.gengk_init(A, identity(2), identity(2), [3.0, 4.0], max_steps=0)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = gengk.gengk_init(I2, I2, I2, [3.0, 4.0], max_steps=0)
     assert fact.beta1 == pytest.approx(5.0)
     # u_1 beta_1 = b, so u_1 = [0.6, 0.8]
     assert gengk.krylov_basis_span_check(fact)["resid_b"] <= 1e-15
@@ -26,8 +26,8 @@ def test_init_identity_operators():
 
 
 def test_init_weighted_norm():
-    fact = gengk.gengk_init(identity(2), ScaledIdentityOperator(4.0, 2),
-                            identity(2), [2.0, 0.0], max_steps=0)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = gengk.gengk_init(I2, ScaledIdentityOperator(4.0, 2), I2, [2.0, 0.0], max_steps=0)
     assert fact.beta1 == pytest.approx(1.0)
     # u_1 beta_1 = b, so u_1 = [2, 0]
     assert gengk.krylov_basis_span_check(fact)["resid_b"] <= 1e-15
@@ -35,7 +35,8 @@ def test_init_weighted_norm():
 
 def test_init_breakdown_b_orthogonal_to_range():
     A = DenseOperator([[1.0, 0.0], [0.0, 0.0]])
-    fact = gengk.gengk_init(A, identity(2), identity(2), [0.0, 1.0], max_steps=0)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = gengk.gengk_init(A, I2, I2, [0.0, 1.0], max_steps=0)
     assert fact.breakdown == 0
     assert fact.alphas == [0.0]
 
@@ -46,21 +47,21 @@ def test_init_breakdown_b_orthogonal_to_range_up_to_rounding():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 10))
     b = np.linalg.svd(A)[0][:, 8]
-    fact = run_gengk(DenseOperator(A), identity(12), identity(10), b, k=10,
-                     reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), ScaledIdentityOperator(1.0, 12),
+                     ScaledIdentityOperator(1.0, 10), b, k=10, reorthogonalize=True)
     assert fact.k == 0
     assert fact.breakdown == 0
 
 
 def test_init_zero_b_rejected():
+    I2 = ScaledIdentityOperator(1.0, 2)
     with pytest.raises(DegenerateInputError):
-        gengk.gengk_init(identity(2), identity(2), identity(2), [0.0, 0.0],
-                         max_steps=0)
+        gengk.gengk_init(I2, I2, I2, [0.0, 0.0], max_steps=0)
 
 
 def test_identity_exhaustion():
-    fact = gengk.gengk_init(identity(2), identity(2), identity(2), [3.0, 4.0],
-                            max_steps=1)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = gengk.gengk_init(I2, I2, I2, [3.0, 4.0], max_steps=1)
     gengk.gengk_step(fact)
     assert fact.breakdown is not None
     assert fact.betas[-1] == 0.0
@@ -68,7 +69,8 @@ def test_identity_exhaustion():
 
 def test_small_dense_relations():
     A = DenseOperator(np.diag([1.0, 2.0]))
-    fact = run_gengk(A, identity(2), identity(2), [1.0, 1.0], k=2)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = run_gengk(A, I2, I2, [1.0, 1.0], k=2)
     report = gengk.krylov_basis_span_check(fact)
     for key in ("resid_b", "resid_AQV", "resid_AtRinvU"):
         assert report[key] <= 1e-13, (key, report)
@@ -102,8 +104,8 @@ def test_matches_standard_golub_kahan(rng):
     # with R = Q = I the weighted iteration is plain Golub-Kahan on (A, b)
     A = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    fact = run_gengk(DenseOperator(A), identity(15), identity(12), b, k=8,
-                     reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), ScaledIdentityOperator(1.0, 15),
+                     ScaledIdentityOperator(1.0, 12), b, k=8, reorthogonalize=True)
 
     # reference bidiagonalization
     beta = np.linalg.norm(b)
@@ -136,8 +138,8 @@ def test_scalars_nonnegative(rng):
 
 
 def test_k0_span_check():
-    fact = gengk.gengk_init(identity(3), identity(3), identity(3), [1.0, 0.0, 0.0],
-                            max_steps=0)
+    I3 = ScaledIdentityOperator(1.0, 3)
+    fact = gengk.gengk_init(I3, I3, I3, [1.0, 0.0, 0.0], max_steps=0)
     report = gengk.krylov_basis_span_check(fact)
     assert report["resid_b"] == pytest.approx(0.0, abs=1e-15)
 
@@ -146,8 +148,8 @@ def test_post_breakdown_relations_hold(rng):
     # rank-2 operator forces an early breakdown; relations still hold truncated
     A = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 8))
     b = A @ rng.standard_normal(8)
-    fact = run_gengk(DenseOperator(A), identity(10), identity(8), b, k=6,
-                     reorthogonalize=True)
+    fact = run_gengk(DenseOperator(A), ScaledIdentityOperator(1.0, 10),
+                     ScaledIdentityOperator(1.0, 8), b, k=6, reorthogonalize=True)
     assert fact.breakdown is not None
     report = gengk.krylov_basis_span_check(fact)
     assert report["resid_AQV"] <= 1e-10
@@ -155,9 +157,9 @@ def test_post_breakdown_relations_hold(rng):
 
 
 def test_bidiagonal_dense_structure():
-    fact = gengk.GenGKFactorization(A=identity(2), R=identity(2), Q=identity(2),
-                                    b=np.ones(2), beta1=1.0, alphas=[1.0, 2.0, 5.0],
-                                    betas=[3.0, 4.0])
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = gengk.GenGKFactorization(A=I2, R=I2, Q=I2, b=np.ones(2), beta1=1.0,
+                                    alphas=[1.0, 2.0, 5.0], betas=[3.0, 4.0])
     npt.assert_array_equal(fact.bidiagonal(), [[1, 0], [3, 2], [0, 4]])
     npt.assert_array_equal(fact.bidiagonal(1), [[1], [3]])
     assert fact.bidiagonal(0).shape == (1, 0)
@@ -227,11 +229,12 @@ def test_breakdown_step_independent_of_units(seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((12, 12))
     b = rng.standard_normal(12)
+    I12 = ScaledIdentityOperator(1.0, 12)
     steps = {}
     for b_scale, A_scale in [(1.0, 1.0), (1e-13, 1.0), (1e13, 1.0), (1e15, 1.0),
                              (1.0, 1e-13), (1.0, 1e13)]:
-        fact = run_gengk(DenseOperator(A_scale * A), identity(12), identity(12),
-                         b_scale * b, k=20, reorthogonalize=True)
+        fact = run_gengk(DenseOperator(A_scale * A), I12, I12, b_scale * b, k=20,
+                         reorthogonalize=True)
         steps[(b_scale, A_scale)] = fact.breakdown
     assert set(steps.values()) == {12}, steps
 
@@ -244,7 +247,7 @@ def test_init_allocates_three_basis_blocks(rng):
     b = rng.standard_normal(m)
     tracemalloc.start()
     try:
-        gengk.gengk_init(A, ScaledIdentityOperator(2.0, m), identity(n), b,
+        gengk.gengk_init(A, ScaledIdentityOperator(2.0, m), ScaledIdentityOperator(1.0, n), b,
                          max_steps=steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -5,7 +5,8 @@ import pytest
 from dyninv.errors import ConditioningError, ParameterError
 from dyninv import gengk, hybrid, oracle, problems
 from dyninv import priorcov as pc
-from dyninv.linop import DenseOperator, DiagonalOperator, KroneckerOperator, identity
+from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
+                          ScaledIdentityOperator)
 from dyninv.priorcov import PriorModel
 
 from conftest import random_orthogonal, random_problem, run_gengk, tikhonov
@@ -35,8 +36,8 @@ def test_projected_matches_dense_normal_equations(rng):
     A = np.diag([1.0, 2.0])
     b = np.array([1.0, 1.0])
     lam = 1.0
-    fact = run_gengk(DenseOperator(A), identity(2), identity(2), b, k=2,
-                     reorthogonalize=True)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = run_gengk(DenseOperator(A), I2, I2, b, k=2, reorthogonalize=True)
     B = fact.bidiagonal()
     z = tikhonov(hybrid.ProjectedProblem(B, fact.beta1), lam)
     s = fact.QV_matrix() @ z
@@ -495,9 +496,8 @@ def test_select_lambda_optimal_self_consistent(rng):
 def test_genhybr_identity_tikhonov():
     n = 5
     d = np.arange(1.0, n + 1)
-    prior = PriorModel.zero_mean(identity(n))
-    res = hybrid.genhybr_solve(identity(n), identity(n), prior, d,
-                               hybrid.Fixed(1.0))
+    In = ScaledIdentityOperator(1.0, n)
+    res = hybrid.genhybr_solve(In, In, PriorModel.zero_mean(In), d, hybrid.Fixed(1.0))
     npt.assert_allclose(res.s, d / 2.0, rtol=1e-12)
     assert res.stop_reason == "breakdown"
 
@@ -508,11 +508,12 @@ def test_genhybr_scaled_data_gives_scaled_reconstruction():
     rng = np.random.default_rng(0)
     A = DenseOperator(rng.standard_normal((12, 12)))
     d = rng.standard_normal(12)
-    prior = PriorModel.zero_mean(identity(12))
+    I12 = ScaledIdentityOperator(1.0, 12)
+    prior = PriorModel.zero_mean(I12)
     opts = hybrid.SolverOptions(max_iter=12, reorthogonalize=True)
-    ref = hybrid.genhybr_solve(A, identity(12), prior, d, hybrid.Fixed(1e-8), opts)
+    ref = hybrid.genhybr_solve(A, I12, prior, d, hybrid.Fixed(1e-8), opts)
     for scale in (1e-13, 1e13, 1e15):
-        res = hybrid.genhybr_solve(A, identity(12), prior, scale * d,
+        res = hybrid.genhybr_solve(A, I12, prior, scale * d,
                                    hybrid.Fixed(1e-8), opts)
         assert res.iterations == ref.iterations
         npt.assert_allclose(res.s, scale * ref.s, rtol=1e-10)

@@ -9,7 +9,7 @@ from dyninv import decoupled, linop, problems
 from dyninv.errors import BudgetExceededError, ParameterError, ShapeError
 from dyninv.linop import (DenseOperator, DiagonalOperator, KroneckerOperator,
                           LinearOperator, ScaledIdentityOperator, ScaledOperator,
-                          SparseOperator, identity, aslinearoperator)
+                          SparseOperator, aslinearoperator)
 from dyninv.priorcov import PriorModel
 
 from conftest import random_spd
@@ -48,7 +48,8 @@ def test_kronecker_to_dense_example():
 
 def test_kron_matvec_identity_and_scalar():
     x = np.arange(4.0)
-    npt.assert_allclose(KroneckerOperator(identity(2), identity(2)).apply(x), x)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    npt.assert_allclose(KroneckerOperator(I2, I2).apply(x), x)
     Qs = np.array([[1.0, 2.0], [3.0, 4.0]])
     K = KroneckerOperator(DenseOperator([[3.0]]), DenseOperator(Qs))
     npt.assert_allclose(K.apply([1.0, 1.0]), 3.0 * Qs @ [1.0, 1.0])
@@ -141,7 +142,7 @@ def test_block_diag_equals_kron_with_identity(rng):
     B = rng.standard_normal((3, 4))
     n_t = 5
     bd = SparseOperator(sp.block_diag([B] * n_t, format="csr"))
-    K = KroneckerOperator(identity(n_t), DenseOperator(B))
+    K = KroneckerOperator(ScaledIdentityOperator(1.0, n_t), DenseOperator(B))
     x = rng.standard_normal(4 * n_t)
     npt.assert_allclose(bd.apply(x), K.apply(x), rtol=1e-13, atol=1e-13)
 

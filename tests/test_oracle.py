@@ -4,7 +4,7 @@ import pytest
 
 from dyninv.errors import BudgetExceededError, ParameterError
 from dyninv import hybrid, oracle
-from dyninv.linop import DenseOperator, identity
+from dyninv.linop import DenseOperator
 
 from conftest import random_problem, run_gengk
 

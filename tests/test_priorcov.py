@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial.distance import cdist
 
+import dyninv
 from dyninv.errors import ParameterError
 from dyninv import priorcov as pc
 
@@ -98,6 +104,52 @@ def test_kernel_matrix_spd(rng):
     M = pc.build_kernel_matrix(pc.MaternKernel(2.5, 0.3), pts).to_dense()
     assert np.max(np.abs(M - M.T)) <= 1e-14
     assert np.linalg.eigvalsh(M)[0] > 0
+
+
+class RecordingKernel:
+    """A Matern kernel that keeps the distances it was last called on."""
+
+    def __init__(self):
+        self.kernel = pc.MaternKernel(1.5, 0.3)
+
+    def __call__(self, r):
+        self.r = r.copy()
+        return self.kernel(r)
+
+
+@pytest.mark.parametrize("points", [
+    pc.PointSet.from_coords(np.linspace(0.0, 1.0, 37)),
+    pc.PointSet.regular_grid_2d(13, 11),
+    pc.PointSet.space_time(pc.PointSet.regular_grid_2d(7, 6), np.linspace(0.0, 1.0, 5),
+                           c1=0.7, c2=2.3),
+], ids=["times", "grid_2d", "space_time"])
+def test_kernel_matrix_distances_are_cdist_bitwise(points):
+    kernel = RecordingKernel()
+    pc.build_kernel_matrix(kernel, points)
+    n = len(points)
+    expected = cdist(points.coordinates, points.coordinates)
+    npt.assert_array_equal(kernel.r.reshape(n, n), expected)
+
+
+def test_scipy_spatial_and_special_load_only_for_a_bessel_form_matern():
+    # a fresh interpreter, so modules the test process loaded do not count
+    script = """
+import sys
+import dyninv.cli
+from dyninv import priorcov as pc
+
+def loaded():
+    return sorted(m for m in ("scipy.spatial", "scipy.special") if m in sys.modules)
+
+pc.build_kernel_matrix(pc.MaternKernel(1.5, 0.3), pc.PointSet.regular_grid_2d(6, 5))
+print(loaded())
+pc.MaternKernel(1.0, 0.3)(0.5)
+print(loaded())
+"""
+    src = os.path.dirname(os.path.dirname(dyninv.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == ["[]", "['scipy.special']"]
 
 
 # ----------------------------------------------------------------------

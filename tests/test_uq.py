@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from dyninv.errors import ParameterError
 from dyninv import decoupled, gengk, hybrid, oracle, uq
-from dyninv.linop import DenseOperator, DiagonalOperator, SparseOperator, identity
+from dyninv.linop import (DenseOperator, DiagonalOperator, ScaledIdentityOperator,
+                          SparseOperator)
 from dyninv.priorcov import PriorModel
 
 from conftest import fresh_projections, random_problem, random_spd, run_gengk
@@ -26,8 +27,9 @@ def posterior_matvec(approx, v):
 
 
 def test_identity_scalar_posterior():
-    fact = run_gengk(identity(1), identity(1), identity(1), [1.0], k=1)
-    approx = uq.build_posterior_approx(fact, identity(1), lam=1.0)
+    I1 = ScaledIdentityOperator(1.0, 1)
+    fact = run_gengk(I1, I1, I1, [1.0], k=1)
+    approx = uq.build_posterior_approx(fact, I1, lam=1.0)
     var = uq.variance_diag(approx)
     npt.assert_allclose(var, [0.5], rtol=1e-14)
     npt.assert_allclose(posterior_matvec(approx, [1.0]), [0.5], rtol=1e-14)
@@ -35,16 +37,17 @@ def test_identity_scalar_posterior():
 
 def test_k0_is_pure_prior(rng):
     Q = DenseOperator(random_spd(rng, 5))
-    fact = gengk.GenGKFactorization(A=identity(5), R=identity(5), Q=Q,
-                                    b=np.ones(5), beta1=1.0)
+    I5 = ScaledIdentityOperator(1.0, 5)
+    fact = gengk.GenGKFactorization(A=I5, R=I5, Q=Q, b=np.ones(5), beta1=1.0)
     approx = uq.build_posterior_approx(fact, Q, lam=2.0)
     npt.assert_allclose(uq.variance_diag(approx), Q.diagonal() / 4.0, rtol=1e-14)
 
 
 def test_lam_zero_rejected():
-    fact = run_gengk(identity(2), identity(2), identity(2), [1.0, 0.0], k=1)
+    I2 = ScaledIdentityOperator(1.0, 2)
+    fact = run_gengk(I2, I2, I2, [1.0, 0.0], k=1)
     with pytest.raises(ParameterError):
-        uq.build_posterior_approx(fact, identity(2), lam=0.0)
+        uq.build_posterior_approx(fact, I2, lam=0.0)
 
 
 def test_full_rank_matches_dense_posterior(rng):
@@ -130,8 +133,8 @@ def test_a_further_step_gets_the_svd_of_its_own_bidiagonal(rng, projected_svds,
 def test_decoupled_variance_diagonal_forward():
     # n_t = 1, diagonal forward model: var_i = 1 / (a_i^2 + lam^2) at lam = 1
     As = DenseOperator(np.diag([1.0, 2.0, 3.0]))
-    plan = decoupled.build_plan(np.eye(1), As, np.eye(1), identity(3),
-                                np.eye(1), identity(3), np.ones(3))
+    I3 = ScaledIdentityOperator(1.0, 3)
+    plan = decoupled.build_plan(np.eye(1), As, np.eye(1), I3, np.eye(1), I3, np.ones(3))
     facts = {}
     for i in range(plan.n_t):
         op = decoupled.ScaledOperator(plan.sigmas[i], plan.A_s)
@@ -142,8 +145,8 @@ def test_decoupled_variance_diagonal_forward():
 
 
 def test_decoupled_variance_zero_rank_prior():
-    plan = decoupled.build_plan(np.zeros((2, 2)), identity(3), np.eye(2),
-                                identity(3), np.eye(2), identity(3),
+    I3 = ScaledIdentityOperator(1.0, 3)
+    plan = decoupled.build_plan(np.zeros((2, 2)), I3, np.eye(2), I3, np.eye(2), I3,
                                 np.zeros(6))
     var = uq.decoupled_variance_diag(plan, {0: None, 1: None}, lam=2.0)
     npt.assert_allclose(var, np.full((3, 2), 0.25), rtol=1e-12)
@@ -179,8 +182,8 @@ def test_decoupled_variance_matches_dense(rng, n_t, m_t):
 
 
 def test_decoupled_variance_missing_factorization():
-    plan = decoupled.build_plan(np.eye(2), identity(2), np.eye(2), identity(2),
-                                np.eye(2), identity(2), np.ones(4))
+    I2 = ScaledIdentityOperator(1.0, 2)
+    plan = decoupled.build_plan(np.eye(2), I2, np.eye(2), I2, np.eye(2), I2, np.ones(4))
     with pytest.raises(ParameterError):
         uq.decoupled_variance_diag(plan, {0: None, 1: None}, lam=1.0)
 
@@ -194,7 +197,7 @@ def test_blocked_variance_matches_the_one_shot_downdate(rng, monkeypatch, lam, k
     G = np.linalg.qr(rng.standard_normal((n, m)))[0].T
     A = DenseOperator(np.logspace(2, -6, m)[:, None] * G)
     Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
-    fact = run_gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+    fact = run_gengk(A, ScaledIdentityOperator(1.0, m), Q, rng.standard_normal(m), k=k,
                      reorthogonalize=True)
     approx = uq.build_posterior_approx(fact, Q, lam)
     k_kept = approx.W.shape[1]
@@ -217,7 +220,7 @@ def test_variance_needs_no_n_by_k_temporaries():
     rng = np.random.default_rng(3)
     A = SparseOperator(sp.random(m, n, density=2e-3, random_state=rng))
     Q = DiagonalOperator(rng.uniform(0.5, 2.0, n))
-    fact = run_gengk(A, identity(m), Q, rng.standard_normal(m), k=k,
+    fact = run_gengk(A, ScaledIdentityOperator(1.0, m), Q, rng.standard_normal(m), k=k,
                      reorthogonalize=True)
     assert fact.k == k
     tracemalloc.start()
